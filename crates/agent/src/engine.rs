@@ -15,8 +15,8 @@
 //! The pieces:
 //!
 //! * [`ExecutionBackend`] — "compile this workflow and run it", the one
-//!   seam the live scheduler, the legacy thread-per-agent backend and the
-//!   virtual-time simulator all implement. Future backends (async
+//!   seam the live scheduler and the virtual-time simulator both
+//!   implement. Future backends (async
 //!   brokers, multi-process shards, remote executors) plug in here.
 //! * [`RunHandle`] — a launched run: event subscription
 //!   ([`RunHandle::events`]), observation, fault injection, first-class
@@ -314,8 +314,8 @@ struct TrackInner {
 }
 
 /// Derives the typed [`RunEvent`] stream from raw [`StatusUpdate`]s —
-/// the single implementation every backend (live scheduler, legacy
-/// threads, virtual-time sim) feeds, so streams are comparable across
+/// the single implementation every backend (live scheduler,
+/// virtual-time sim) feeds, so streams are comparable across
 /// backends. Stale updates from superseded incarnations are dropped, so
 /// per-task streams are monotone: state rank never regresses within an
 /// incarnation and incarnations never decrease.
@@ -617,10 +617,10 @@ impl RunReport {
 
 /// Control surface a backend's run object implements; [`RunHandle`] is
 /// the user-facing facade over a boxed instance. Object-safe on purpose:
-/// the scheduler's [`crate::WorkflowRun`], the legacy thread backend and
-/// the simulator's finished-run shim all live behind it.
+/// the scheduler's [`crate::WorkflowRun`] and the simulator's
+/// finished-run shim both live behind it.
 pub trait RunControl: Send + Sync {
-    /// Backend label ("scheduler", "legacy-threads", "sim", …).
+    /// Backend label ("scheduler", "sharded", "sim", …).
     fn backend(&self) -> &'static str;
     /// The run's id (its topic-namespace key).
     fn run_id(&self) -> String;
@@ -814,10 +814,9 @@ impl Drop for RunHandle {
 }
 
 /// An execution vehicle: compiles a workflow and runs it, returning the
-/// unified [`RunHandle`]. Implemented by the event-driven scheduler, the
-/// legacy thread-per-agent backend (both in this crate) and the
-/// virtual-time simulator (`ginflow-sim`); `ginflow-engine` selects
-/// between them behind `Engine::builder()`.
+/// unified [`RunHandle`]. Implemented by the event-driven scheduler (in
+/// this crate) and the virtual-time simulator (`ginflow-sim`);
+/// `ginflow-engine` selects between them behind `Engine::builder()`.
 pub trait ExecutionBackend: Send + Sync {
     /// Backend label for reports and diagnostics.
     fn name(&self) -> &'static str;

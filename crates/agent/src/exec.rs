@@ -1,7 +1,6 @@
-//! Machinery shared by both runtimes (the event-driven
-//! [`crate::scheduler::Scheduler`] and the legacy thread-per-agent
-//! backend): command execution, the status board, and the status
-//! collector loop.
+//! Agent execution machinery of the event-driven
+//! [`crate::scheduler::Scheduler`]: command execution, the status
+//! board, and the status collector loop.
 
 use crate::core::{Command, Event, SaCore};
 use crate::engine::{RunTracker, TaskReport};

@@ -4,7 +4,7 @@
 //! invoke, "a storage place for a local copy of the multiset" and "an HOCL
 //! interpreter that reads and updates the local copy … each time it tries
 //! to apply one of the rules in the subsolution" (§IV-A). This crate
-//! implements the SA logic once and executes it three ways:
+//! implements the SA logic once and runs it on one live runtime:
 //!
 //! * [`SaCore`] — a **sans-IO state machine**: events in
 //!   ([`Event::Deliver`], [`Event::ServiceCompleted`]), commands out
@@ -17,12 +17,11 @@
 //!   runtime**: a fixed pool of workers drives every agent, each parked
 //!   until its inbox topic wakes it through the broker's publish path
 //!   ([`ginflow_mq::Subscription::set_waker`]). Scales to thousands of
-//!   agents per process with zero idle CPU.
-//! * the legacy **thread-per-agent** backend
-//!   ([`RunOptions::legacy_threads`]) — one polling OS thread per SA,
-//!   kept as the A/B baseline.
+//!   agents per process with zero idle CPU. Services run inline on the
+//!   workers, so [`RunOptions::workers`] is the lever for workloads
+//!   dominated by slow blocking services.
 //!
-//! Both runtimes implement the recovery mechanism of §IV-B: a crashed SA
+//! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays its inbox topic* from the
 //! beginning of the persistent log, rebuilding the lost local state
 //! ("being able to log all incoming molecules of a SA and replay them in
@@ -45,12 +44,3 @@ pub use ginflow_mq::{RunId, TopicNamespace};
 pub use message::{SaMessage, StatusUpdate};
 pub use runtime::{RunOptions, WaitError};
 pub use scheduler::{Scheduler, WorkflowRun};
-
-/// The historical name of the launcher, kept so existing call sites keep
-/// compiling; it dispatches to the event-driven scheduler by default
-/// (pass [`RunOptions::legacy()`] for the original behaviour).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::builder()` from `ginflow-engine` (or `Scheduler` directly)"
-)]
-pub type ThreadedRuntime = Scheduler;

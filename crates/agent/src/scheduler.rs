@@ -26,10 +26,6 @@
 //! false→true transition; the worker clears the bit after draining and
 //! re-checks the backlog, so a publish racing the drain can never be
 //! lost.
-//!
-//! The thread-per-agent backend survives behind
-//! [`RunOptions::legacy_threads`] for A/B benchmarking (see
-//! `crates/bench`, `scheduler_scale`).
 
 use crate::core::{Event, SaCore};
 use crate::engine::{
@@ -38,7 +34,7 @@ use crate::engine::{
 };
 use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx, StatusBoard};
 use crate::message::SaMessage;
-use crate::runtime::{launch_legacy, LegacyRun, RunOptions, WaitError};
+use crate::runtime::{RunOptions, WaitError};
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
 use ginflow_hoclflow::{agent_programs, AdaptPlan, AgentProgram};
 use ginflow_mq::metrics::{Counter, Gauge, Histogram};
@@ -92,8 +88,7 @@ fn sched_metrics() -> &'static SchedMetrics {
 }
 
 /// The launcher: compiles workflows and runs every agent on the worker
-/// pool (or, with [`RunOptions::legacy_threads`], on the seed's
-/// thread-per-agent backend). Deployment strategies (`ginflow-executor`)
+/// pool. Deployment strategies (`ginflow-executor`)
 /// decide *where* agents go; this scheduler is the *how*.
 pub struct Scheduler {
     broker: Arc<dyn Broker>,
@@ -145,30 +140,16 @@ impl Scheduler {
             RunMeta::from_programs(&agents, &plans),
             run_id,
         ));
-        if self.options.legacy_threads {
-            WorkflowRun {
-                backend: Backend::Legacy(launch_legacy(
-                    self.broker.clone(),
-                    self.registry.clone(),
-                    agents,
-                    plans,
-                    tracker,
-                    ns,
-                    self.options.clone(),
-                )),
-            }
-        } else {
-            WorkflowRun {
-                backend: Backend::Pool(launch_pool(
-                    self.broker.clone(),
-                    self.registry.clone(),
-                    agents,
-                    plans,
-                    tracker,
-                    ns,
-                    self.options.clone(),
-                )),
-            }
+        WorkflowRun {
+            pool: launch_pool(
+                self.broker.clone(),
+                self.registry.clone(),
+                agents,
+                plans,
+                tracker,
+                ns,
+                self.options.clone(),
+            ),
         }
     }
 }
@@ -177,8 +158,6 @@ impl ExecutionBackend for Scheduler {
     fn name(&self) -> &'static str {
         if self.options.shard.is_some() {
             "sharded"
-        } else if self.options.legacy_threads {
-            "legacy-threads"
         } else {
             "scheduler"
         }
@@ -190,14 +169,8 @@ impl ExecutionBackend for Scheduler {
 }
 
 /// A launched workflow: status observation, fault injection, recovery.
-/// Facade over whichever backend executed the launch.
 pub struct WorkflowRun {
-    backend: Backend,
-}
-
-enum Backend {
-    Pool(PoolRun),
-    Legacy(LegacyRun),
+    pool: PoolRun,
 }
 
 impl WorkflowRun {
@@ -218,45 +191,31 @@ impl WorkflowRun {
 
     /// Block until every sink task completes; returns their results.
     pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.board.wait_for_sinks(&run.inner.sinks, timeout),
-            Backend::Legacy(run) => run.wait(timeout),
-        }
+        let inner = &self.pool.inner;
+        inner.board.wait_for_sinks(&inner.sinks, timeout)
     }
 
     /// Crash a task's agent (it stops consuming; all local state is
     /// lost). Returns whether the agent existed and was alive.
     pub fn kill(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.kill(task),
-            Backend::Legacy(run) => run.kill(task),
-        }
+        self.pool.inner.kill(task)
     }
 
     /// Is the task's agent still alive (scheduled or parked, not dead)?
     pub fn alive(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.alive(task),
-            Backend::Legacy(run) => run.alive(task),
-        }
+        self.pool.inner.alive(task)
     }
 
     /// Manually start a replacement agent for `task` (§IV-B recovery).
     /// On a persistent broker the newcomer replays the full inbox
     /// history.
     pub fn respawn(&self, task: &str) -> bool {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.respawn(task),
-            Backend::Legacy(run) => run.respawn(task),
-        }
+        self.pool.inner.respawn(task)
     }
 
     /// Current incarnation number of a task's agent.
     pub fn incarnation(&self, task: &str) -> u32 {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.incarnation(task),
-            Backend::Legacy(run) => run.incarnation(task),
-        }
+        self.pool.inner.incarnation(task)
     }
 
     /// Subscribe to the typed run event stream (full history replayed
@@ -315,10 +274,7 @@ impl WorkflowRun {
     /// over every subscription the run ever opened — respawned
     /// incarnations included.
     pub fn lagged(&self) -> u64 {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.lagged(),
-            Backend::Legacy(run) => run.lagged(),
-        }
+        self.pool.inner.lagged()
     }
 
     /// Stop everything and join all threads.
@@ -326,26 +282,17 @@ impl WorkflowRun {
         self.stop();
     }
 
-    /// Backend label ("scheduler" / "sharded" / "legacy-threads").
+    /// Backend label ("scheduler" / "sharded").
     pub fn backend_label(&self) -> &'static str {
-        match &self.backend {
-            Backend::Pool(run) => run.inner.label,
-            Backend::Legacy(_) => "legacy-threads",
-        }
+        self.pool.inner.label
     }
 
     fn board(&self) -> &StatusBoard {
-        match &self.backend {
-            Backend::Pool(run) => &run.inner.board,
-            Backend::Legacy(run) => run.board(),
-        }
+        &self.pool.inner.board
     }
 
     fn tracker(&self) -> &Arc<RunTracker> {
-        match &self.backend {
-            Backend::Pool(run) => &run.inner.tracker,
-            Backend::Legacy(run) => run.tracker(),
-        }
+        &self.pool.inner.tracker
     }
 
     fn cancel_with_failure(&self, failure: RunFailure) {
@@ -354,10 +301,7 @@ impl WorkflowRun {
     }
 
     fn stop(&self) {
-        match &self.backend {
-            Backend::Pool(run) => run.stop(),
-            Backend::Legacy(run) => run.stop(),
-        }
+        self.pool.stop()
     }
 }
 

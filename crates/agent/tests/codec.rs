@@ -1,8 +1,7 @@
 //! Property tests of the binary `SaMessage`/`StatusUpdate` codec:
 //! arbitrary messages (including deeply structured values) survive an
-//! encode→decode round trip, old-format JSON payloads still decode
-//! (the fallback path), and corrupted binary payloads are rejected
-//! instead of mis-decoded.
+//! encode→decode round trip, JSON-encoded payloads are not messages,
+//! and corrupted binary payloads are rejected instead of mis-decoded.
 
 use ginflow_agent::{SaMessage, StatusUpdate};
 use ginflow_core::{TaskState, Value};
@@ -80,15 +79,15 @@ proptest! {
         prop_assert_eq!(StatusUpdate::decode(&s.encode()), Some(s));
     }
 
-    /// The fallback: payloads in the pre-binary JSON wire format (a
-    /// retained log from an older build, a mid-rollout peer) decode to
-    /// the same message.
+    /// Only the binary format decodes: a JSON-encoded message (the
+    /// wire format before the binary codec) is not a message, and
+    /// decodes to None without panicking.
     #[test]
-    fn json_fallback_decodes_old_payloads(m in arb_sa_message(), s in arb_status()) {
+    fn json_payloads_decode_to_none(m in arb_sa_message(), s in arb_status()) {
         let json = serde_json::to_vec(&m).expect("serialise");
-        prop_assert_eq!(SaMessage::decode(&json), Some(m));
+        prop_assert_eq!(SaMessage::decode(&json), None);
         let json = serde_json::to_vec(&s).expect("serialise");
-        prop_assert_eq!(StatusUpdate::decode(&json), Some(s));
+        prop_assert_eq!(StatusUpdate::decode(&json), None);
     }
 
     /// Truncating a binary payload anywhere yields None, never a panic
@@ -111,7 +110,7 @@ proptest! {
         prop_assert_eq!(StatusUpdate::decode(&bytes), None);
     }
 
-    /// Arbitrary bytes never panic the decoder (binary or JSON path).
+    /// Arbitrary bytes never panic the decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = SaMessage::decode(&bytes);

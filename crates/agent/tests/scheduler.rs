@@ -1,8 +1,7 @@
 //! Integration tests of the event-driven worker-pool scheduler: the
 //! complete decentralised protocol on a bounded pool — normal runs at
-//! scale, adaptation, crash/recovery with inbox replay, and equivalence
-//! with the legacy thread-per-agent backend (mirrors
-//! `tests/runtime.rs` for the new path).
+//! scale, adaptation, crash/recovery with inbox replay, and agreement
+//! with the centralized single-interpreter reference.
 
 use ginflow_agent::{RunOptions, Scheduler};
 use ginflow_bench::workload::fan_out_fan_in;
@@ -67,16 +66,20 @@ fn thousand_task_fan_completes_on_a_bounded_pool() {
 }
 
 #[test]
-fn pool_and_legacy_agree_on_fig2() {
-    let run_with = |options: RunOptions| {
-        let scheduler =
-            Scheduler::new(BrokerKind::Transient.build(), tracing_registry()).with_options(options);
-        let run = scheduler.launch(&fig2());
-        let results = run.wait(WAIT).expect("fig2 completes");
-        run.shutdown();
-        results["T4"].clone()
-    };
-    assert_eq!(run_with(pool_options()), run_with(RunOptions::legacy()));
+fn pool_agrees_with_centralized_on_fig2() {
+    let registry = tracing_registry();
+    let reference = ginflow_hoclflow::centralized::run(
+        &fig2(),
+        &registry,
+        ginflow_hoclflow::CentralizedConfig::default(),
+    )
+    .expect("centralized fig2 completes");
+    let scheduler =
+        Scheduler::new(BrokerKind::Transient.build(), registry).with_options(pool_options());
+    let run = scheduler.launch(&fig2());
+    let results = run.wait(WAIT).expect("fig2 completes");
+    run.shutdown();
+    assert_eq!(Some(&results["T4"]), reference.result_of("T4"));
 }
 
 #[test]

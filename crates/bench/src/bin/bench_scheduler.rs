@@ -1,6 +1,6 @@
-//! The scheduler scaling A/B: event-driven worker pool vs the legacy
-//! thread-per-agent backend on a 1000-task fan-out/fan-in workflow
-//! (200 tasks with `--quick`). Writes `results/BENCH_scheduler.csv`.
+//! The scheduler scaling run: the event-driven worker pool on a
+//! 1000-task fan-out/fan-in workflow (200 tasks with `--quick`). Writes
+//! `results/BENCH_scheduler.csv`.
 
 use ginflow_bench::workload::{csv_rows, CSV_HEADER};
 use ginflow_bench::{csv, quick_from_args, scheduler_scale};
@@ -8,7 +8,7 @@ use ginflow_bench::{csv, quick_from_args, scheduler_scale};
 fn main() {
     let quick = quick_from_args(
         "bench_scheduler",
-        "event-driven scheduler vs legacy threads on a wide fan-out/fan-in",
+        "event-driven scheduler on a wide fan-out/fan-in",
     );
     let samples = scheduler_scale::run(quick);
     println!(
@@ -20,15 +20,6 @@ fn main() {
             "{:<16} {:>6} {:>8} {:>10.3} {:>9.3} {:>10}",
             s.mode, s.tasks, s.workers, s.wall_secs, s.cpu_secs, s.completed
         );
-    }
-    if let [pool, legacy] = &samples[..] {
-        if pool.completed && legacy.completed {
-            println!(
-                "\npool speedup: {:.2}x wall, {:.2}x cpu",
-                legacy.wall_secs / pool.wall_secs.max(1e-9),
-                legacy.cpu_secs / pool.cpu_secs.max(1e-9),
-            );
-        }
     }
     csv::write_csv(
         "results/BENCH_scheduler.csv",

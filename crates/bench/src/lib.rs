@@ -13,7 +13,7 @@
 //! | `fig15` | Fig 15 | Montage shape + duration CDF |
 //! | `fig16` | Fig 16 | resilience under failure injection |
 //! | `run_all` | EXPERIMENTS.md | everything above, emitting markdown |
-//! | `bench_scheduler` | BENCH_scheduler.csv | event-driven pool vs legacy threads at 1000 tasks |
+//! | `bench_scheduler` | BENCH_scheduler.csv | event-driven pool at 1000 tasks |
 
 pub mod broker_net;
 pub mod csv;

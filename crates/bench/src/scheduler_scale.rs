@@ -1,13 +1,10 @@
-//! Scheduler scaling benchmark: event-driven worker pool vs the legacy
-//! thread-per-agent backend on a wide fan-out/fan-in workflow (see
-//! [`crate::workload`] for the workload itself).
-//!
-//! The legacy backend pays one OS thread and a 5 ms poll loop per
-//! agent; the pool runs everything on a bounded worker set woken by
+//! Scheduler scaling benchmark: the event-driven worker pool on a wide
+//! fan-out/fan-in workflow (see [`crate::workload`] for the workload
+//! itself). The pool runs every agent on a bounded worker set woken by
 //! broker deliveries.
 //!
 //! Emits `results/BENCH_scheduler.csv` with wall-clock and process CPU
-//! time per backend.
+//! time.
 
 use crate::workload::{fan_out_fan_in, process_cpu, Sample};
 use ginflow_core::ServiceRegistry;
@@ -16,21 +13,16 @@ use ginflow_mq::BrokerKind;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Run one backend once through the unified engine; timings come from
-/// the structured [`ginflow_engine::RunReport`].
-pub fn run_once(mode: &str, width: usize, workers: usize, timeout: Duration) -> Sample {
+/// Run the pool once through the unified engine; timings come from the
+/// structured [`ginflow_engine::RunReport`].
+pub fn run_once(width: usize, workers: usize, timeout: Duration) -> Sample {
     let wf = fan_out_fan_in(width);
     let registry = Arc::new(ServiceRegistry::tracing_for(["s"]));
-    let backend = if mode == "legacy_threads" {
-        Backend::LegacyThreads
-    } else {
-        Backend::Scheduler
-    };
     let engine = Engine::builder()
         .broker(BrokerKind::Transient.build())
         .registry(registry)
         .workers(workers)
-        .backend(backend)
+        .backend(Backend::Scheduler)
         .deadline(timeout)
         .build();
 
@@ -40,28 +32,20 @@ pub fn run_once(mode: &str, width: usize, workers: usize, timeout: Duration) -> 
     let cpu = process_cpu().saturating_sub(cpu_before);
 
     Sample::workflow(
-        mode,
+        "pool",
         width + 2,
-        if mode == "legacy_threads" {
-            width + 2
-        } else {
-            workers
-        },
+        workers,
         report.wall,
         cpu,
         report.completed,
     )
 }
 
-/// The A/B campaign: both backends at the given scale.
+/// The campaign: the pool at the given scale.
 pub fn run(quick: bool) -> Vec<Sample> {
     let width = if quick { 200 } else { 1000 };
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let timeout = Duration::from_secs(300);
-    vec![
-        run_once("pool", width, workers, timeout),
-        run_once("legacy_threads", width, workers, timeout),
-    ]
+    vec![run_once(width, workers, Duration::from_secs(300))]
 }

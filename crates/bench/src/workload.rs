@@ -14,7 +14,7 @@ pub struct Sample {
     /// Total task count for workflow scenarios; message count for
     /// publish storms.
     pub tasks: usize,
-    /// Worker threads driving the agents (= agents for legacy).
+    /// Worker threads driving the agents.
     pub workers: usize,
     /// Observed makespan (s).
     pub wall_secs: f64,

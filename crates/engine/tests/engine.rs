@@ -46,13 +46,21 @@ fn final_states(events: impl IntoIterator<Item = RunEvent>) -> HashMap<String, T
 }
 
 /// The acceptance check: the same Fig-2 workflow launched through one
-/// `Engine::builder()` on all three backends, with the `RunEvent`
-/// streams agreeing on the final task states.
+/// `Engine::builder()` on the scheduler and the simulator, with the
+/// `RunEvent` streams agreeing on the final task states — and the
+/// scheduler's T4 result equal to the centralized interpreter's, an
+/// independent reference that shares no agent or broker code.
 #[test]
-fn all_three_backends_agree_on_fig2_final_states() {
+fn scheduler_sim_and_centralized_agree_on_fig2() {
     let wf = fig2();
+    let reference = ginflow_hoclflow::centralized::run(
+        &wf,
+        &ServiceRegistry::tracing_for(["s1", "s2", "s3", "s4"]),
+        ginflow_hoclflow::CentralizedConfig::default(),
+    )
+    .expect("centralized fig2 completes");
     let mut per_backend: Vec<(&'static str, HashMap<String, TaskState>)> = Vec::new();
-    for backend in [Backend::Scheduler, Backend::LegacyThreads, Backend::Sim] {
+    for backend in [Backend::Scheduler, Backend::Sim] {
         let run = engine_for(backend).launch(&wf);
         let events: Vec<RunEvent> = run.events().collect();
         assert_eq!(
@@ -63,6 +71,9 @@ fn all_three_backends_agree_on_fig2_final_states() {
         );
         let report = run.join();
         assert!(report.completed, "{} did not complete", report.backend);
+        if report.backend == "scheduler" {
+            assert_eq!(report.result_of("T4"), reference.result_of("T4"));
+        }
         per_backend.push((report.backend, final_states(events)));
     }
     let (first_name, first) = &per_backend[0];

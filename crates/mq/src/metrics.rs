@@ -17,8 +17,7 @@
 //! 3. **Disable means free.** [`set_enabled`] flips one process-global
 //!    relaxed flag consulted by every write; the bench harness A/Bs
 //!    instrumented vs uninstrumented throughput in one process with it
-//!    (`GINFLOW_MQ_NO_METRICS=1` presets it off, following the
-//!    `GINFLOW_MQ_SINGLE_SHARD` knob convention).
+//!    (`GINFLOW_MQ_NO_METRICS=1` presets it off).
 //!
 //! Reading happens two ways, both off the same registry: a flat
 //! [`Metrics::snapshot`] of `(name, label, value)` rows (what the STATS

@@ -257,7 +257,7 @@ proptest! {
 
     /// Flip one arbitrary bit anywhere in a multi-frame stream — the
     /// same byte sequence both the server's connection reader and the
-    /// clients' reader threads parse — and the reader must (a) never
+    /// client reactor parse — and the reader must (a) never
     /// panic, (b) decode every frame wholly before the flipped byte
     /// exactly as sent, and (c) terminate: the corruption surfaces as
     /// a decode error, an EOF, or (the wire has no checksum) a

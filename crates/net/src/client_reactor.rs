@@ -1,7 +1,6 @@
 //! The shared client reactor: **one** epoll thread per process owns the
-//! socket of every reactor-flavor [`RemoteBroker`](crate::RemoteBroker)
-//! — reads, writes, and reconnect timers for N connections cost one
-//! thread instead of the threaded flavor's 2·N reader/writer pairs.
+//! socket of every [`RemoteBroker`](crate::RemoteBroker) — reads,
+//! writes, and reconnect timers for N connections cost one thread.
 //!
 //! ## Architecture
 //!
@@ -9,7 +8,7 @@
 //! [`event_loop`](crate::event_loop):
 //!
 //! * **Lazily spawned, refcounted, dropped at zero.** The first
-//!   reactor-flavor connection spawns the `gf-client-loop` thread; a
+//!   connection spawns the `gf-client-loop` thread; a
 //!   process-global `Weak` hands the same loop to every later
 //!   connection. When the last connection deregisters, the loop clears
 //!   the global handle (under the same lock registration takes, so the
@@ -20,22 +19,20 @@
 //!   buffer and ring the eventfd doorbell with the same false→true
 //!   schedule-bit protocol the broker wakers use; the loop drains the
 //!   buffer into the connection's non-blocking write path. One FIFO
-//!   buffer per connection preserves the ordering contract exactly as
-//!   the threaded writer queue did.
+//!   buffer per connection preserves the ordering contract.
 //! * **Reads feed the shared dispatcher.** Readable sockets are
 //!   drained (bounded per turn for fairness), length-prefixed frames
-//!   parsed and handed to the same
-//!   [`ClientInner::on_frame`](crate::client) dispatch the threaded
-//!   reader thread uses — RECEIPT/RECEIPTS expansion, EVENTS delivery,
-//!   pipeline window release are one code path across flavors.
+//!   parsed and handed to the
+//!   [`ClientInner::on_frame`](crate::client) dispatch —
+//!   RECEIPT/RECEIPTS expansion, EVENTS delivery and pipeline window
+//!   release live there.
 //! * **Reconnect rides the deadline heap.** A dead connection fails
-//!   its in-flight waiters (loss ledger and all, identical to the
-//!   threaded path), then arms a backoff timer (20 ms doubling to a
-//!   hard cap, default 2 s via `GINFLOW_RECONNECT_CAP_MS`, with
-//!   equal-jitter so storms de-synchronise; the same ladder as the
-//!   threaded flavor). Dial attempts run on a short-lived helper thread so a
-//!   hanging TCP connect can never freeze the other connections; the
-//!   result is posted back as a loop message. On success the
+//!   its in-flight waiters (loss ledger and all), then arms a backoff
+//!   timer (20 ms doubling to a hard cap, default 2 s via
+//!   `GINFLOW_RECONNECT_CAP_MS`, with equal-jitter so storms
+//!   de-synchronise). Dial attempts run on a short-lived helper thread
+//!   so a hanging TCP connect can never freeze the other connections;
+//!   the result is posted back as a loop message. On success the
 //!   re-subscribe batch is queued *before* any frames published during
 //!   the outage — replayed history never interleaves behind fresh
 //!   publishes.
@@ -53,6 +50,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const WAKER: Token = Token(0);
@@ -69,13 +67,12 @@ const READ_CHUNK: usize = 64 * 1024;
 
 // Reconnect backoff: failures double the ladder from RECONNECT_BASE to
 // the shared hard cap (client::reconnect_cap, default 2 s,
-// GINFLOW_RECONNECT_CAP_MS), with equal-jitter applied to every sleep —
-// the same ladder as the threaded flavor's reconnect loop.
+// GINFLOW_RECONNECT_CAP_MS), with equal-jitter applied to every sleep.
 
 /// A connection owing bytes that makes no write progress for this long
-/// is dead — the non-blocking replacement for the threaded flavor's
-/// socket write timeout, so a blackholed daemon can never wedge the
-/// loop's memory behind one peer.
+/// is dead — the non-blocking replacement for a socket write timeout,
+/// so a blackholed daemon can never wedge the loop's memory behind one
+/// peer.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// How often stalled-write candidates are scanned while any connection
@@ -124,10 +121,9 @@ enum RMsg {
     Deregister(u64, Sender<()>),
     /// The connection's outbound buffer has frames queued.
     Kick(u64),
-    /// Write `bytes` only if the connection is currently up (the
-    /// reactor form of the threaded flavor's best-effort socket write:
-    /// dropped, not queued, while disconnected — a stale-id frame must
-    /// never ride over to a fresh connection).
+    /// Write `bytes` only if the connection is currently up: dropped,
+    /// not queued, while disconnected — a stale-id frame must never
+    /// ride over to a fresh connection.
     BestEffort(u64, Vec<u8>),
     /// A dial helper finished; `Ok` carries the fresh transport.
     Dialed(u64, std::io::Result<Box<dyn Transport>>),
@@ -222,6 +218,7 @@ impl ConnHandle {
                     timers: BinaryHeap::new(),
                     stall_scan_armed: false,
                     scratch: vec![0u8; READ_CHUNK],
+                    closing: HashMap::new(),
                 };
                 let thread = std::thread::Builder::new()
                     .name("gf-client-loop".into())
@@ -254,9 +251,15 @@ impl ConnHandle {
             .push(RMsg::Register(self.clone(), transport, inner));
     }
 
-    /// Queue encoded frame bytes and ring the doorbell.
-    pub(crate) fn enqueue(&self, buf: Vec<u8>) {
-        self.outbound.lock().extend_from_slice(&buf);
+    /// Queue encoded frame bytes and ring the doorbell. `register`
+    /// (the frames' reply waiters) runs under the buffer lock, the
+    /// same lock [`ConnHandle::discard_outbound`] fails waiters under —
+    /// so waiters and frames are dropped or kept together.
+    pub(crate) fn enqueue(&self, buf: &[u8], register: impl FnOnce()) {
+        let mut outbound = self.outbound.lock();
+        register();
+        outbound.extend_from_slice(buf);
+        drop(outbound);
         if !self.kicked.swap(true, Ordering::SeqCst) {
             self.shared.push(RMsg::Kick(self.id));
         }
@@ -268,10 +271,12 @@ impl ConnHandle {
         self.shared.push(RMsg::BestEffort(self.id, buf));
     }
 
-    /// Deregister from the loop and wait for the socket to close; if
+    /// Deregister from the loop and wait for the socket to close (and
+    /// for a redial in flight to finish, its helper thread joined); if
     /// this was the last connection, also join the retiring loop
     /// thread (the ack is sent *after* the loop's exit decision, so
-    /// observing it tells us which case we are in). Idempotent.
+    /// observing it tells us which case we are in). Both waits share
+    /// one 10 s bound. Idempotent.
     pub(crate) fn close(&self) {
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -293,6 +298,15 @@ impl ConnHandle {
         if let Some(t) = retired {
             let _ = t.join();
         }
+    }
+
+    /// Drop every frame not yet taken by the loop and run `fail_waiters`
+    /// under the buffer lock: a request queued before a connection
+    /// loss dies with it, one queued after waits for the redial.
+    fn discard_outbound(&self, fail_waiters: impl FnOnce()) {
+        let mut outbound = self.outbound.lock();
+        outbound.clear();
+        fail_waiters();
     }
 
     /// The loop takes everything queued, resetting the doorbell under
@@ -325,8 +339,8 @@ struct RConn {
     backoff: Duration,
     /// xorshift64 state for backoff jitter (equal-jitter spread).
     jitter: u64,
-    /// A dial helper thread is in flight.
-    dialing: bool,
+    /// The dial helper thread in flight, joined when it reports back.
+    dial: Option<JoinHandle<()>>,
 }
 
 impl RConn {
@@ -344,6 +358,10 @@ struct Reactor {
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
     stall_scan_armed: bool,
     scratch: Vec<u8>,
+    /// Connections deregistered while a dial helper was in flight:
+    /// their closer's ack waits until the helper reports back and is
+    /// joined, so a closed client leaves no thread behind.
+    closing: HashMap<u64, (JoinHandle<()>, Sender<()>)>,
 }
 
 impl Reactor {
@@ -360,6 +378,7 @@ impl Reactor {
             // closer that sees its ack can then read the global slot
             // and learn definitively whether the loop retired.
             let exiting = self.conns.is_empty()
+                && self.closing.is_empty()
                 && self.shared.live.load(Ordering::SeqCst) == 0
                 && self.try_exit();
             for ack in acks.drain(..) {
@@ -425,6 +444,11 @@ impl Reactor {
                         let _ = self.poll.deregister(t.raw_fd());
                         let _ = t.shutdown();
                     }
+                    if let Some(helper) = conn.dial {
+                        // Acked once the helper reports (see `dialed`).
+                        self.closing.insert(id, (helper, ack));
+                        return;
+                    }
                 }
                 acks.push(ack); // sent after the exit decision
             }
@@ -437,7 +461,17 @@ impl Reactor {
                     }
                 }
             }
-            RMsg::Dialed(id, result) => self.dialed(id, result),
+            RMsg::Dialed(id, result) => {
+                if let Some((helper, ack)) = self.closing.remove(&id) {
+                    if let Ok(t) = result {
+                        let _ = t.shutdown();
+                    }
+                    let _ = helper.join();
+                    acks.push(ack);
+                } else {
+                    self.dialed(id, result);
+                }
+            }
         }
     }
 
@@ -459,7 +493,7 @@ impl Reactor {
             last_progress: Instant::now(),
             backoff: RECONNECT_BASE,
             jitter: jitter_seed(),
-            dialing: false,
+            dial: None,
         };
         let adopted = transport.set_nonblocking(true).is_ok()
             && self
@@ -532,7 +566,7 @@ impl Reactor {
         }
         // Dispatch every complete frame read so far (even off a dying
         // socket: acks the daemon sent before the cut still release
-        // their pipeline bytes, exactly as the threaded reader would).
+        // their pipeline bytes).
         let mut frames = 0u64;
         let mut pos = 0usize;
         while conn.in_buf.len() - pos >= 4 {
@@ -640,8 +674,7 @@ impl Reactor {
 
     /// The socket died: fail in-flight waiters (pipelined publishes
     /// latch on the loss ledger, re-subscriptions in flight move to
-    /// the orphan list — byte-for-byte the threaded reader's loss
-    /// path) and arm an immediate redial.
+    /// the orphan list) and arm an immediate redial.
     fn conn_lost(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -651,14 +684,14 @@ impl Reactor {
             let _ = self.poll.deregister(t.raw_fd());
             let _ = t.shutdown();
         }
-        // A partial frame must never prefix the fresh stream; dropping
-        // the whole out buffer mirrors the threaded writer losing its
-        // in-flight batch (those frames' waiters fail just below).
+        // A partial frame must never prefix the fresh stream; the whole
+        // out buffer is dropped (those frames' waiters fail just below).
         conn.in_buf.clear();
         conn.out.clear();
         conn.out_pos = 0;
         conn.want_write = false;
-        conn.inner.fail_pending();
+        let inner = &conn.inner;
+        conn.handle.discard_outbound(|| inner.fail_pending());
         if conn.inner.is_shutdown() {
             return; // Deregister will reap the slot
         }
@@ -684,15 +717,16 @@ impl Reactor {
     /// Launch a dial helper for a disconnected connection. The helper
     /// thread exists only for the duration of one `connector()` call —
     /// a hanging dial blocks nobody, and at steady state the process
-    /// carries zero of them.
+    /// carries zero of them. The loop joins it when it reports back;
+    /// closing its connection waits for that (bounded by
+    /// [`ConnHandle::close`]'s ack timeout).
     fn dial(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.transport.is_some() || conn.dialing || conn.inner.is_shutdown() {
+        if conn.transport.is_some() || conn.dial.is_some() || conn.inner.is_shutdown() {
             return;
         }
-        conn.dialing = true;
         let inner = conn.inner.clone();
         let shared = self.shared.clone();
         let spawned = std::thread::Builder::new()
@@ -700,10 +734,10 @@ impl Reactor {
             .spawn(move || {
                 let result = inner.dial();
                 shared.push(RMsg::Dialed(id, result));
-            })
-            .is_ok();
-        if !spawned {
-            conn.dialing = false;
+            });
+        if let Ok(helper) = spawned {
+            conn.dial = Some(helper);
+        } else {
             let at = Instant::now() + jittered_backoff(conn.backoff, &mut conn.jitter);
             conn.backoff = (conn.backoff * 2).min(reconnect_cap());
             self.timers.push(Reverse((at, id)));
@@ -718,7 +752,11 @@ impl Reactor {
             }
             return;
         };
-        conn.dialing = false;
+        // The helper's last act was posting `result`: joining waits
+        // only for its exit.
+        if let Some(helper) = conn.dial.take() {
+            let _ = helper.join();
+        }
         if conn.inner.is_shutdown() || conn.transport.is_some() {
             if let Ok(t) = result {
                 let _ = t.shutdown();

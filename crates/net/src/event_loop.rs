@@ -1,4 +1,4 @@
-//! The readiness-driven daemon flavor: **one** event-loop thread serves
+//! The readiness-driven daemon: **one** event-loop thread serves
 //! every connection, however many there are — accept, request parsing,
 //! reply batching and subscription fan-out all run on a single epoll
 //! loop (the [`mio`] shim), so the daemon's thread count is independent
@@ -67,7 +67,7 @@ const OUT_LOW_WATER: usize = 1 << 20;
 
 /// A connection owing bytes that makes no write progress for this long
 /// is dead (full receive buffer, frozen process) — the non-blocking
-/// replacement for the threaded flavor's socket write timeout.
+/// replacement for a socket write timeout.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// How often stalled-write candidates are scanned while any connection
@@ -157,9 +157,8 @@ struct Conn {
     parked: Vec<Arc<ServerSub>>,
     /// Pending receipt-range coalescing (see [`ReceiptRun`]).
     run: Option<ReceiptRun>,
-    /// Topics already reported to the run registry (same steady-state
-    /// shortcut as the threaded flavor), with their cached metric
-    /// handles — a repeat publish touches no registry or family lock.
+    /// Topics already reported to the run registry, with their cached
+    /// metric handles — a repeat publish touches no registry or family lock.
     seen_topics: HashMap<String, TopicMetrics>,
 }
 
@@ -248,7 +247,7 @@ enum TimerKind {
     StallScan,
 }
 
-/// The event-loop daemon flavor. Public API lives on the
+/// The event-loop daemon. Public API lives on the
 /// [`BrokerServer`](crate::BrokerServer) facade.
 pub(crate) struct EventLoopServer {
     addr: SocketAddr,
@@ -636,9 +635,8 @@ impl LoopState {
             Frame::Subscribe { seq, topic, mode } => {
                 let tm = observe_topic(&self.registry, conn, &topic);
                 daemon_metrics().shard_subscribes.shard(tm.shard).inc();
-                // Same resume-watermark sampling rules as the threaded
-                // flavor: sample *before* attaching, single-partition
-                // persistent topics only.
+                // Resume watermark: sample *before* attaching,
+                // single-partition persistent topics only.
                 let resume = if self.broker.persistent() && self.broker.partitions(&topic) <= 1 {
                     self.broker.retained(&topic)
                 } else {

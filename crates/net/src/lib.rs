@@ -8,17 +8,15 @@
 //!
 //! * [`BrokerServer`] — the broker daemon (`ginflow broker serve`):
 //!   fronts any [`Broker`](ginflow_mq::Broker) (the persistent
-//!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP. The
-//!   default flavor is a **single-thread epoll event loop** (the `mio`
-//!   shim): non-blocking sockets, per-connection read/write buffer
-//!   state machines, subscription wakeups routed into the loop through
-//!   the broker's push wakers, and a timer wheel driving the retention
-//!   sweep — thread count independent of client count, zero syscalls
+//!   [`LogBroker`](ginflow_mq::LogBroker) by default) over TCP on a
+//!   **single-thread epoll event loop** (the `mio` shim): non-blocking
+//!   sockets, per-connection read/write buffer state machines,
+//!   subscription wakeups routed into the loop through the broker's
+//!   push wakers, and a timer wheel driving the retention sweep —
+//!   thread count independent of client count, zero syscalls
 //!   while idle, 10k+ concurrent connections on one thread. Publish
 //!   acks coalesce into RECEIPTS range frames (the request-direction
-//!   mirror of EVENTS). `GINFLOW_NET_THREADED=1` (or
-//!   [`ServerFlavor::Threaded`]) keeps the original
-//!   two-threads-per-connection path as an A/B baseline.
+//!   mirror of EVENTS).
 //! * [`RemoteBroker`] — the client: implements the same `Broker` trait
 //!   over a connection, pushing EVENT frames into local
 //!   [`Subscription`](ginflow_mq::Subscription)s (wakers included, so
@@ -36,9 +34,9 @@
 //!
 //! ## Client architecture: the shared reactor
 //!
-//! The daemon side went single-threaded in the server event loop; the
-//! client side completes the story. By default every [`RemoteBroker`]
-//! in a process — however many daemons it talks to — is driven by
+//! The daemon side is single-threaded in the server event loop; the
+//! client side completes the story. Every [`RemoteBroker`] in a
+//! process — however many daemons it talks to — is driven by
 //! **one** shared epoll thread (`gf-client-loop`, the `client_reactor`
 //! module), lazily spawned by the first connection, refcounted, and
 //! retired when the last connection closes. Publishers never touch
@@ -48,23 +46,19 @@
 //! bytes through the shared frame dispatch, and runs reconnect
 //! backoff on its deadline heap (dial syscalls themselves run on a
 //! short-lived helper thread so a hanging TCP connect never stalls
-//! other connections' traffic). The pre-reactor path — a dedicated
-//! reader + writer thread pair per connection — is kept verbatim as
-//! [`ClientFlavor::Threaded`] for A/B comparison, mirroring the
-//! server's `ServerFlavor` convention.
+//! other connections' traffic).
 //!
-//! Thread model per process, N connections, steady state:
+//! One loop at each end, N connections, steady state:
 //!
-//! | flavor | knob | I/O threads |
+//! | end | loop | I/O threads |
 //! |---|---|---|
-//! | reactor (default) | `ClientFlavor::Reactor` | 1 (shared loop) |
-//! | threaded baseline | `ClientFlavor::Threaded` / `GINFLOW_CLIENT_THREADED=1` | 2·N (reader + writer each) |
+//! | daemon | [`BrokerServer`] event loop | 1 per daemon |
+//! | client | shared reactor (`gf-client-loop`) | 1 per process |
 //!
-//! Both flavors share the pipeline window, loss ledger, offset
-//! watermarks and re-subscribe handshake — `bench_broker`'s
-//! `client_scale` scenario measures the difference (128 connections:
-//! ~3 process threads vs ~259) and `crates/net/tests/client_flavors.rs`
-//! holds the semantics identical.
+//! `bench_broker`'s `client_scale` scenario measures the client end
+//! (128 connections on ~3 process threads), and
+//! `crates/net/tests/client_flavors.rs` pins the reactor's thread
+//! accounting, pipeline, reconnect and subscription semantics.
 //!
 //! With a daemon in the middle, `Backend::Sharded` (in
 //! `ginflow-engine`) runs one workflow across multiple OS processes:
@@ -137,11 +131,11 @@
 //!
 //! ## Observability (operator guide)
 //!
-//! Both daemon flavors feed the process-global
-//! [`ginflow_mq::metrics`] registry from their hot paths — relaxed
+//! The daemon feeds the process-global
+//! [`ginflow_mq::metrics`] registry from its hot path — relaxed
 //! atomics only, so the accounting rides the publish/fan-out cycle at
 //! negligible cost (`bench_broker` prints the instrumented vs
-//! uninstrumented A/B; CI gates it at ≥ 0.9×). The families:
+//! uninstrumented A/B; CI gates it at ≥ 0.85×). The families:
 //!
 //! * `gf_loop_*` — event-loop health: accepts, live connections,
 //!   frames, replies and reply bytes, fan-out messages/bytes and batch
@@ -190,8 +184,8 @@
 //! corruption, clean and **mid-frame** connection severs, repeated
 //! sever/reconnect storms, and dial-refusing partition windows — on a
 //! virtual clock (`time_scale`) so a multi-thousand-event schedule
-//! runs in real seconds. Both client flavors run their production
-//! code; determinism comes from one master seed fanned out per link
+//! runs in real seconds. The client runs its production code;
+//! determinism comes from one master seed fanned out per link
 //! (`client name` × `dial ordinal`), so every reconnect draws a fresh
 //! but reproducible schedule.
 //!
@@ -210,12 +204,12 @@
 //! * `GINFLOW_FAULT_SEED=<n>` — base seed; **every failure message
 //!   names the seed that produced it**, so any red run reproduces with
 //!   `GINFLOW_FAULT_SEED=<n> GINFLOW_CHAOS_SEEDS=1 cargo test …`.
-//! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property per flavor.
+//! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property.
 //! * `GINFLOW_FLUSH_TIMEOUT_MS` — bound on [`RemoteBroker`]'s
 //!   `flush()`; on expiry it returns a structured
 //!   `MqError::FlushTimeout` instead of blocking on a wedged link.
 //! * `GINFLOW_RECONNECT_CAP_MS` — hard cap of the jittered exponential
-//!   reconnect backoff (default 2000 ms; both flavors). Reconnects are
+//!   reconnect backoff (default 2000 ms). Reconnects are
 //!   counted on `gf_client_reconnects_total`.
 //!
 //! Contributors adding protocol or client behavior: wire a property
@@ -233,11 +227,10 @@ mod metrics;
 mod metrics_http;
 mod registry;
 pub mod server;
-mod threaded;
 pub mod transport;
 
-pub use client::{ClientFlavor, RemoteBroker};
-pub use server::{BrokerServer, ServerFlavor};
+pub use client::RemoteBroker;
+pub use server::BrokerServer;
 pub use transport::{Connector, Transport};
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
 //! Event-loop daemon behaviors: flat thread count, zero idle CPU,
 //! RECEIPTS range acks under pipelined storms, the in-process
-//! [`Transport`] seam, and flavor selection (programmatic and via the
-//! `GINFLOW_NET_THREADED` knob).
+//! [`Transport`] seam, and surviving a half-open socket.
 //!
 //! Tests here share one process, and several read process-wide state
-//! (`/proc/self`, the environment), so every test serializes on [`GATE`].
+//! (`/proc/self`), so every test serializes on [`GATE`].
 
 use ginflow_mq::{Broker, LogBroker, SubscribeMode};
-use ginflow_net::{BrokerServer, RemoteBroker, ServerFlavor};
+use ginflow_net::{BrokerServer, RemoteBroker};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serializes the tests in this binary: CPU, thread-count and env-knob
+/// Serializes the tests in this binary: CPU and thread-count
 /// measurements are process-global.
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -21,10 +20,9 @@ fn gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn bind(flavor: ServerFlavor) -> (BrokerServer, Arc<LogBroker>) {
+fn bind() -> (BrokerServer, Arc<LogBroker>) {
     let broker = Arc::new(LogBroker::new());
-    let server =
-        BrokerServer::bind_with_flavor("127.0.0.1:0", broker.clone(), None, flavor).unwrap();
+    let server = BrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
     (server, broker)
 }
 
@@ -44,16 +42,16 @@ fn idle_conns(server: &BrokerServer, n: usize) -> Vec<TcpStream> {
     conns
 }
 
-/// Current thread count of this process (`/proc/self/status`).
+/// Threads the library runs in this process: every thread it spawns
+/// is named `gf-*` (`/proc/self/task/*/comm`). The test harness's own
+/// per-test threads are left out — they start and exit whenever other
+/// tests in this binary do, so a whole-process count races with them.
 fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .trim()
-        .parse()
-        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("gf-"))
+        .count()
 }
 
 /// CPU time (user + system) this process has consumed, in milliseconds
@@ -69,7 +67,7 @@ fn process_cpu_ms() -> u64 {
 #[test]
 fn thread_count_is_independent_of_connection_count() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let few = idle_conns(&server, 10);
     let baseline = thread_count();
     let many = idle_conns(&server, 200);
@@ -85,7 +83,7 @@ fn thread_count_is_independent_of_connection_count() {
 #[test]
 fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let conns = idle_conns(&server, 100);
     // Settle any accept/registration work, then measure a quiet window.
     std::thread::sleep(Duration::from_millis(200));
@@ -104,7 +102,7 @@ fn idle_daemon_burns_no_cpu_with_100_quiet_connections() {
 #[test]
 fn pipelined_storm_is_acked_by_receipts_ranges() {
     let _gate = gate();
-    let (server, broker) = bind(ServerFlavor::EventLoop);
+    let (server, broker) = bind();
     let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
     const N: u64 = 5000;
     for i in 0..N {
@@ -126,65 +124,24 @@ fn pipelined_storm_is_acked_by_receipts_ranges() {
 #[test]
 fn in_process_transport_serves_the_full_protocol_without_tcp() {
     let _gate = gate();
-    for flavor in [ServerFlavor::EventLoop, ServerFlavor::Threaded] {
-        let broker = Arc::new(LogBroker::new());
-        let server = Arc::new(
-            BrokerServer::bind_with_flavor("127.0.0.1:0", broker.clone(), None, flavor).unwrap(),
-        );
-        let s = server.clone();
-        let client = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
-        let sub = client.subscribe("t", SubscribeMode::Beginning).unwrap();
-        client
-            .publish("t", None, bytes::Bytes::from_static(b"no tcp involved"))
-            .unwrap();
-        let m = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(m.payload_str(), "no tcp involved");
-        for i in 0..500u32 {
-            client
-                .publish_nowait("t", None, bytes::Bytes::from(i.to_string()))
-                .unwrap();
-        }
-        client.flush().unwrap();
-        assert_eq!(broker.retained("t"), 501);
-        client.shutdown();
-        server.stop();
-    }
-}
-
-#[test]
-fn threaded_flavor_still_serves_the_identical_protocol() {
-    let _gate = gate();
-    let (server, broker) = bind(ServerFlavor::Threaded);
-    assert_eq!(server.flavor(), "threaded");
-    let client = RemoteBroker::connect(&format!("tcp://{}", server.local_addr())).unwrap();
+    let (server, broker) = bind();
+    let server = Arc::new(server);
+    let s = server.clone();
+    let client = RemoteBroker::connect_with(Box::new(move || s.connect_in_process())).unwrap();
     let sub = client.subscribe("t", SubscribeMode::Beginning).unwrap();
-    for i in 0..1000u32 {
+    client
+        .publish("t", None, bytes::Bytes::from_static(b"no tcp involved"))
+        .unwrap();
+    let m = sub.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(m.payload_str(), "no tcp involved");
+    for i in 0..500u32 {
         client
             .publish_nowait("t", None, bytes::Bytes::from(i.to_string()))
             .unwrap();
     }
     client.flush().unwrap();
-    assert_eq!(broker.retained("t"), 1000);
-    assert_eq!(
-        sub.recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .payload_str(),
-        "0"
-    );
-    server.stop();
-}
-
-#[test]
-fn env_knob_selects_the_threaded_baseline() {
-    let _gate = gate();
-    std::env::set_var("GINFLOW_NET_THREADED", "1");
-    let (server, _) = bind(ServerFlavor::Auto);
-    let flavor = server.flavor();
-    server.stop();
-    std::env::remove_var("GINFLOW_NET_THREADED");
-    assert_eq!(flavor, "threaded");
-    let (server, _) = bind(ServerFlavor::Auto);
-    assert_eq!(server.flavor(), "event-loop");
+    assert_eq!(broker.retained("t"), 501);
+    client.shutdown();
     server.stop();
 }
 
@@ -193,7 +150,7 @@ fn env_knob_selects_the_threaded_baseline() {
 #[test]
 fn partial_frame_then_disconnect_does_not_wedge_the_loop() {
     let _gate = gate();
-    let (server, _) = bind(ServerFlavor::EventLoop);
+    let (server, _) = bind();
     let mut half = TcpStream::connect(server.local_addr()).unwrap();
     // A length prefix promising 100 bytes, then only 3 of them.
     half.write_all(&100u32.to_be_bytes()).unwrap();

@@ -1,5 +1,5 @@
-//! The §III-C adaptive workflow (Figs 5–8) end-to-end on the threaded
-//! decentralised runtime: `T2`'s service is permanently broken, so the
+//! The §III-C adaptive workflow (Figs 5–8) end-to-end on the
+//! decentralised scheduler runtime: `T2`'s service is permanently broken, so the
 //! `trigger_adapt` rule fires, `T1` resends its result to the standby
 //! `T2'`, and `T4` re-points its sources — all while the workflow keeps
 //! running.
