@@ -5,15 +5,17 @@
 //! through the shared status topic* (§IV): every service agent publishes
 //! its state transitions to one shared topic, and anyone — the user
 //! workstation of Fig 1 included — can watch the workflow unfold by
-//! subscribing to it. Before this module the public surface only exposed
-//! a blocking [`wait`](crate::WorkflowRun::wait) over final sink results;
-//! now every backend feeds the raw status stream through a
-//! [`RunTracker`], which derives an ordered, typed [`RunEvent`] stream
-//! (task transitions, adaptation firings, recovery incarnations, run
-//! completion) and fans it out to any number of subscribers.
+//! subscribing to it. Every backend feeds that raw stream through one
+//! [`RunTracker`] per run, the single fold of the topic: it keeps each
+//! task's latest state, result and timings, and derives from the same
+//! updates an ordered, typed [`RunEvent`] stream (task transitions,
+//! adaptation firings, recovery incarnations, run completion) that it
+//! fans out to any number of subscribers.
 //!
 //! The pieces:
 //!
+//! * [`RunTracker`] — the per-run fold behind every handle, wait and
+//!   report.
 //! * [`ExecutionBackend`] — "compile this workflow and run it", the one
 //!   seam the live scheduler and the virtual-time simulator both
 //!   implement. Future backends (async
@@ -33,9 +35,8 @@
 use crate::message::StatusUpdate;
 use crate::runtime::WaitError;
 use ginflow_core::{TaskState, Value, Workflow};
-use ginflow_hoclflow::{AdaptPlan, AgentProgram};
 use ginflow_mq::RunId;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -268,28 +269,6 @@ impl RunMeta {
         }
         meta
     }
-
-    /// Metadata from compiled agent programs + adaptation plans (the
-    /// launch path that never sees the workflow itself).
-    pub fn from_programs(programs: &[AgentProgram], plans: &[AdaptPlan]) -> RunMeta {
-        RunMeta {
-            tasks: programs.iter().map(|p| p.name.clone()).collect(),
-            sinks: programs
-                .iter()
-                .filter(|p| p.is_sink())
-                .map(|p| p.name.clone())
-                .collect(),
-            standby: programs
-                .iter()
-                .filter(|p| p.standby)
-                .map(|p| p.name.clone())
-                .collect(),
-            adaptations: plans
-                .iter()
-                .map(|p| (p.name.clone(), p.watched.clone()))
-                .collect(),
-        }
-    }
 }
 
 /// How a run ended.
@@ -302,8 +281,8 @@ pub enum RunOutcome {
 }
 
 struct TrackInner {
-    /// Latest `(state, incarnation)` observed per task.
-    tasks: HashMap<String, (TaskState, u32)>,
+    /// Latest accepted update per observed task, with its timing marks.
+    tasks: HashMap<String, TaskReport>,
     /// Adaptation indices that already fired.
     fired: HashSet<usize>,
     /// Sinks observed `Completed`.
@@ -311,29 +290,39 @@ struct TrackInner {
     terminal: Option<RunOutcome>,
     adaptations_fired: u32,
     respawns: u32,
+    /// Set when the run is torn down while waiters may still block.
+    closed: bool,
 }
 
-/// Derives the typed [`RunEvent`] stream from raw [`StatusUpdate`]s —
-/// the single implementation every backend (live scheduler,
-/// virtual-time sim) feeds, so streams are comparable across
-/// backends. Stale updates from superseded incarnations are dropped, so
-/// per-task streams are monotone: state rank never regresses within an
-/// incarnation and incarnations never decrease.
+/// The one fold of a run's status topic. Every backend (live scheduler,
+/// virtual-time sim) feeds its raw [`StatusUpdate`]s here; per task the
+/// tracker keeps the latest accepted update with its timings
+/// ([`TaskReport::absorb`]), and from the same updates it derives the
+/// typed [`RunEvent`] stream, so streams and reports are comparable
+/// across backends. Stale updates from superseded incarnations are
+/// dropped, so per-task streams are monotone: state rank never regresses
+/// within an incarnation and incarnations never decrease.
 pub struct RunTracker {
     meta: RunMeta,
     run_id: RunId,
+    /// Launch time: the zero of the live backends' task timings.
+    epoch: Instant,
     hub: EventHub,
     inner: Mutex<TrackInner>,
+    /// Wakes [`RunTracker::wait_sinks`] on accepted updates and on close.
+    changed: Condvar,
 }
 
 impl RunTracker {
     /// Fresh tracker over a workflow's metadata, for the run named
     /// `run_id` — the namespace key under which the run's status topic
-    /// lives, carried here so every report and handle can name it.
+    /// lives, carried here so every report and handle can name it. Its
+    /// epoch, the zero of the live backends' task timings, is now.
     pub fn new(meta: RunMeta, run_id: RunId) -> Self {
         RunTracker {
             meta,
             run_id,
+            epoch: Instant::now(),
             hub: EventHub::new(),
             inner: Mutex::new(TrackInner {
                 tasks: HashMap::new(),
@@ -342,7 +331,9 @@ impl RunTracker {
                 terminal: None,
                 adaptations_fired: 0,
                 respawns: 0,
+                closed: false,
             }),
+            changed: Condvar::new(),
         }
     }
 
@@ -356,120 +347,113 @@ impl RunTracker {
         &self.run_id
     }
 
-    /// Feed one status update; derived events fan out to subscribers.
-    /// Ignored after a terminal event, and for updates from superseded
-    /// incarnations.
-    pub fn observe(&self, update: &StatusUpdate) {
-        let mut events: Vec<RunEvent> = Vec::new();
-        let mut terminal = false;
-        {
-            let mut s = self.inner.lock();
-            if s.terminal.is_some() {
-                return;
-            }
-            let prev = s.tasks.get(&update.task).copied();
-            if let Some((_, pinc)) = prev {
-                if update.incarnation < pinc {
-                    return; // stale ghost of a replaced incarnation
-                }
-            }
-            // A first observation at incarnation > 0 is a recovery too:
-            // the dead incarnation may never have published anything.
-            let prev_incarnation = prev.map(|(_, i)| i).unwrap_or(0);
-            if update.incarnation > prev_incarnation {
-                s.respawns += update.incarnation - prev_incarnation;
-                events.push(RunEvent::AgentRespawned {
+    /// Time since the tracker was created, i.e. since launch.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    /// Fold one status update in, `at` being its time relative to launch
+    /// (wall on live backends, virtual in the sim), and fan the events
+    /// it derives out to subscribers. Updates from superseded
+    /// incarnations change nothing. After a terminal event updates still
+    /// land in the report but derive no more events.
+    pub fn observe(&self, update: &StatusUpdate, at: Duration) {
+        let mut guard = self.inner.lock();
+        let s = &mut *guard;
+        let prev = s.tasks.get(&update.task).map(|t| (t.state, t.incarnation));
+        let entry = s.tasks.entry(update.task.clone()).or_default();
+        if !entry.absorb(update, at) {
+            return; // stale ghost of a replaced incarnation
+        }
+        self.changed.notify_all();
+        if s.terminal.is_some() {
+            return;
+        }
+        // A first observation at incarnation > 0 is a recovery too:
+        // the dead incarnation may never have published anything.
+        let prev_incarnation = prev.map(|(_, i)| i).unwrap_or(0);
+        if update.incarnation > prev_incarnation {
+            s.respawns += update.incarnation - prev_incarnation;
+            self.hub.emit(RunEvent::AgentRespawned {
+                task: update.task.clone(),
+                incarnation: update.incarnation,
+            });
+        }
+        if prev != Some((update.state, update.incarnation)) {
+            self.hub.emit(RunEvent::TaskStateChanged {
+                task: update.task.clone(),
+                from: prev.map(|(state, _)| state),
+                to: update.state,
+                incarnation: update.incarnation,
+            });
+            if let (TaskState::Completed, Some(value)) = (update.state, &update.result) {
+                self.hub.emit(RunEvent::TaskResult {
                     task: update.task.clone(),
-                    incarnation: update.incarnation,
+                    value: value.clone(),
                 });
             }
-            let changed = prev != Some((update.state, update.incarnation));
-            if changed {
-                events.push(RunEvent::TaskStateChanged {
-                    task: update.task.clone(),
-                    from: prev.map(|(state, _)| state),
-                    to: update.state,
-                    incarnation: update.incarnation,
-                });
-            }
-            s.tasks
-                .insert(update.task.clone(), (update.state, update.incarnation));
-            if changed && update.state == TaskState::Completed {
-                if let Some(value) = &update.result {
-                    events.push(RunEvent::TaskResult {
-                        task: update.task.clone(),
-                        value: value.clone(),
+        }
+        let watched = |(_, w): &(String, Vec<String>)| w.contains(&update.task);
+        if update.state == TaskState::Failed {
+            for (i, adaptation) in self.meta.adaptations.iter().enumerate() {
+                if watched(adaptation) && s.fired.insert(i) {
+                    s.adaptations_fired += 1;
+                    self.hub.emit(RunEvent::AdaptationFired {
+                        adaptation: adaptation.0.clone(),
+                        failed_task: update.task.clone(),
                     });
                 }
             }
-            if update.state == TaskState::Failed {
-                for (i, (name, watched)) in self.meta.adaptations.iter().enumerate() {
-                    if watched.iter().any(|w| w == &update.task) && s.fired.insert(i) {
-                        s.adaptations_fired += 1;
-                        events.push(RunEvent::AdaptationFired {
-                            adaptation: name.clone(),
-                            failed_task: update.task.clone(),
-                        });
-                    }
+        }
+        if !self.meta.sinks.contains(&update.task) {
+            return;
+        }
+        match update.state {
+            TaskState::Completed => {
+                s.done_sinks.insert(update.task.clone());
+                if s.done_sinks.len() == self.meta.sinks.len() {
+                    self.terminate(s, RunOutcome::Completed);
                 }
             }
-            if self.meta.sinks.iter().any(|sink| sink == &update.task) {
-                match update.state {
-                    TaskState::Completed => {
-                        s.done_sinks.insert(update.task.clone());
-                        if s.done_sinks.len() == self.meta.sinks.len() {
-                            s.terminal = Some(RunOutcome::Completed);
-                            events.push(RunEvent::RunCompleted);
-                            terminal = true;
-                        }
-                    }
-                    TaskState::Failed => {
-                        let watched = self
-                            .meta
-                            .adaptations
-                            .iter()
-                            .any(|(_, w)| w.iter().any(|t| t == &update.task));
-                        if !watched {
-                            let failure = RunFailure::SinkFailed {
-                                task: update.task.clone(),
-                            };
-                            s.terminal = Some(RunOutcome::Failed(failure.clone()));
-                            events.push(RunEvent::RunFailed { reason: failure });
-                            terminal = true;
-                        }
-                    }
-                    _ => {}
-                }
+            // A failed sink no adaptation watches can never complete.
+            TaskState::Failed if !self.meta.adaptations.iter().any(watched) => {
+                let task = update.task.clone();
+                self.terminate(s, RunOutcome::Failed(RunFailure::SinkFailed { task }));
             }
+            _ => {}
         }
-        for event in events {
-            self.hub.emit(event);
-        }
-        if terminal {
-            self.hub.close();
-        }
+    }
+
+    /// Record the outcome, emit its terminal event and close the stream.
+    fn terminate(&self, s: &mut TrackInner, outcome: RunOutcome) {
+        self.hub.emit(match &outcome {
+            RunOutcome::Completed => RunEvent::RunCompleted,
+            RunOutcome::Failed(reason) => RunEvent::RunFailed {
+                reason: reason.clone(),
+            },
+        });
+        self.hub.close();
+        s.terminal = Some(outcome);
     }
 
     /// Mark the run failed (cancel, deadline, stall) and emit the
     /// terminal event. Returns `false` (and does nothing) when the run
     /// already reached a terminal state.
     pub fn fail(&self, failure: RunFailure) -> bool {
-        {
-            let mut s = self.inner.lock();
-            if s.terminal.is_some() {
-                return false;
-            }
-            s.terminal = Some(RunOutcome::Failed(failure.clone()));
+        let mut s = self.inner.lock();
+        if s.terminal.is_some() {
+            return false;
         }
-        self.hub.emit(RunEvent::RunFailed { reason: failure });
-        self.hub.close();
+        self.terminate(&mut s, RunOutcome::Failed(failure));
         true
     }
 
-    /// Close the stream without a terminal event (plain teardown of a
-    /// still-running workflow).
+    /// Tear down: close the stream without a terminal event and end
+    /// every [`RunTracker::wait_sinks`] with [`WaitError::Cancelled`].
     pub fn close(&self) {
+        self.inner.lock().closed = true;
         self.hub.close();
+        self.changed.notify_all();
     }
 
     /// Subscribe: full ordered history, then live.
@@ -482,11 +466,97 @@ impl RunTracker {
         self.inner.lock().terminal.clone()
     }
 
-    /// `(adaptations fired, respawns observed)` so far.
-    pub fn counts(&self) -> (u32, u32) {
-        let s = self.inner.lock();
-        (s.adaptations_fired, s.respawns)
+    /// Latest observed state of a task.
+    pub fn state_of(&self, task: &str) -> Option<TaskState> {
+        self.inner.lock().tasks.get(task).map(|t| t.state)
     }
+
+    /// Latest observed result of a task.
+    pub fn result_of(&self, task: &str) -> Option<Value> {
+        self.inner
+            .lock()
+            .tasks
+            .get(task)
+            .and_then(|t| t.result.clone())
+    }
+
+    /// Snapshot of all observed task states, sorted by task name.
+    pub fn statuses(&self) -> Vec<(String, TaskState)> {
+        snapshot(&self.inner.lock().tasks)
+    }
+
+    /// Block (no polling: woken by [`RunTracker::observe`]) until every
+    /// sink completed, returning their results. A sink that completed
+    /// without publishing a result is an error, not a silent omission.
+    pub fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
+        let deadline = Instant::now() + timeout;
+        let mut s = self.inner.lock();
+        loop {
+            let sinks = &self.meta.sinks;
+            let completed =
+                |t: &String| s.tasks.get(t).map(|u| u.state) == Some(TaskState::Completed);
+            if sinks.iter().all(completed) {
+                return sinks
+                    .iter()
+                    .map(|task| match &s.tasks[task].result {
+                        Some(r) => Ok((task.clone(), r.clone())),
+                        None => Err(WaitError::MissingResult { task: task.clone() }),
+                    })
+                    .collect();
+            }
+            if s.closed {
+                return Err(WaitError::Cancelled);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(WaitError::Timeout {
+                    statuses: snapshot(&s.tasks),
+                });
+            }
+            self.changed.wait_for(&mut s, deadline - now);
+        }
+    }
+
+    /// The run as observed so far, labelled `backend`: every task of the
+    /// workflow (`Idle` when never observed), the outcome and the
+    /// counters. `wall` is the last task transition once terminal, the
+    /// time since launch before. `lagged` and `metrics` are 0 and empty,
+    /// for the backend to fill in.
+    pub fn report(&self, backend: &'static str) -> RunReport {
+        let s = self.inner.lock();
+        let mut tasks: BTreeMap<String, TaskReport> = self
+            .meta
+            .tasks
+            .iter()
+            .map(|n| (n.clone(), TaskReport::default()))
+            .collect();
+        tasks.extend(s.tasks.iter().map(|(n, t)| (n.clone(), t.clone())));
+        let outcome = s.terminal.clone();
+        let wall = outcome
+            .as_ref()
+            .and_then(|_| tasks.values().filter_map(|t| t.finished_at).max())
+            .unwrap_or_else(|| self.elapsed());
+        RunReport {
+            backend,
+            run_id: self.run_id.as_str().to_owned(),
+            completed: outcome == Some(RunOutcome::Completed),
+            cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
+            deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
+            wall,
+            adaptations_fired: s.adaptations_fired,
+            respawns: s.respawns,
+            lagged: 0,
+            metrics: Vec::new(),
+            tasks,
+        }
+    }
+}
+
+/// Task states sorted by task name.
+fn snapshot(tasks: &HashMap<String, TaskReport>) -> Vec<(String, TaskState)> {
+    let mut v: Vec<(String, TaskState)> = tasks.iter().map(|(k, t)| (k.clone(), t.state)).collect();
+    v.sort_by(|a, b| a.0.cmp(&b.0));
+    v
 }
 
 // ---------------------------------------------------------------------
@@ -617,8 +687,8 @@ impl RunReport {
 
 /// Control surface a backend's run object implements; [`RunHandle`] is
 /// the user-facing facade over a boxed instance. Object-safe on purpose:
-/// the scheduler's [`crate::WorkflowRun`] and the simulator's
-/// finished-run shim both live behind it.
+/// the scheduler's worker-pool run and the simulator's finished run both
+/// live behind it, each answering from its [`RunTracker`].
 pub trait RunControl: Send + Sync {
     /// Backend label ("scheduler", "sharded", "sim", …).
     fn backend(&self) -> &'static str;
@@ -851,10 +921,10 @@ mod tests {
     fn tracker_derives_ordered_events() {
         let tracker = RunTracker::new(meta(), RunId::generate());
         let events = tracker.subscribe();
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("a", TaskState::Completed, 0));
-        tracker.observe(&update("b", TaskState::Running, 0));
-        tracker.observe(&update("b", TaskState::Completed, 0));
+        tracker.observe(&update("a", TaskState::Running, 0), Duration::ZERO);
+        tracker.observe(&update("a", TaskState::Completed, 0), Duration::ZERO);
+        tracker.observe(&update("b", TaskState::Running, 0), Duration::ZERO);
+        tracker.observe(&update("b", TaskState::Completed, 0), Duration::ZERO);
         let collected: Vec<RunEvent> = events.collect();
         assert_eq!(
             collected.last(),
@@ -874,8 +944,8 @@ mod tests {
     #[test]
     fn late_subscriber_replays_history() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("b", TaskState::Completed, 0));
+        tracker.observe(&update("a", TaskState::Running, 0), Duration::ZERO);
+        tracker.observe(&update("b", TaskState::Completed, 0), Duration::ZERO);
         let replayed: Vec<RunEvent> = tracker.subscribe().collect();
         assert_eq!(replayed.last(), Some(&RunEvent::RunCompleted));
         assert!(replayed.len() >= 3);
@@ -884,9 +954,9 @@ mod tests {
     #[test]
     fn adaptation_failure_and_respawn_events() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("a", TaskState::Running, 0));
-        tracker.observe(&update("a", TaskState::Failed, 0));
-        tracker.observe(&update("a", TaskState::Running, 1));
+        tracker.observe(&update("a", TaskState::Running, 0), Duration::ZERO);
+        tracker.observe(&update("a", TaskState::Failed, 0), Duration::ZERO);
+        tracker.observe(&update("a", TaskState::Running, 1), Duration::ZERO);
         let events: Vec<RunEvent> = {
             let sub = tracker.subscribe();
             std::iter::from_fn(|| sub.try_recv()).collect()
@@ -898,7 +968,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, RunEvent::AgentRespawned { incarnation: 1, .. })));
-        assert_eq!(tracker.counts(), (1, 1));
+        let report = tracker.report("test");
+        assert_eq!((report.adaptations_fired, report.respawns), (1, 1));
     }
 
     #[test]
@@ -906,8 +977,8 @@ mod tests {
         let tracker = RunTracker::new(meta(), RunId::generate());
         // First-ever observation at incarnation 1: the dead incarnation
         // 0 never published, which still counts as one recovery.
-        tracker.observe(&update("a", TaskState::Running, 1));
-        tracker.observe(&update("a", TaskState::Completed, 0)); // ghost
+        tracker.observe(&update("a", TaskState::Running, 1), Duration::ZERO);
+        tracker.observe(&update("a", TaskState::Completed, 0), Duration::ZERO); // ghost
         let events: Vec<RunEvent> = {
             let sub = tracker.subscribe();
             std::iter::from_fn(|| sub.try_recv()).collect()
@@ -933,7 +1004,7 @@ mod tests {
     #[test]
     fn unwatched_sink_failure_is_terminal() {
         let tracker = RunTracker::new(meta(), RunId::generate());
-        tracker.observe(&update("b", TaskState::Failed, 0));
+        tracker.observe(&update("b", TaskState::Failed, 0), Duration::ZERO);
         assert_eq!(
             tracker.outcome(),
             Some(RunOutcome::Failed(RunFailure::SinkFailed {
@@ -947,7 +1018,7 @@ mod tests {
         let tracker = RunTracker::new(meta(), RunId::generate());
         assert!(tracker.fail(RunFailure::Cancelled));
         assert!(!tracker.fail(RunFailure::DeadlineExpired));
-        tracker.observe(&update("b", TaskState::Completed, 0)); // ignored
+        tracker.observe(&update("b", TaskState::Completed, 0), Duration::ZERO); // ignored
         let events: Vec<RunEvent> = tracker.subscribe().collect();
         assert_eq!(
             events,
@@ -990,30 +1061,75 @@ mod tests {
     }
 
     #[test]
-    fn meta_of_workflow_matches_programs() {
-        use ginflow_core::workflow::{ReplacementTask, WorkflowBuilder};
-        let mut b = WorkflowBuilder::new("fig5");
-        b.task("T1", "s1").input(Value::str("input"));
-        b.task("T2", "s2").after(["T1"]);
-        b.task("T3", "s3").after(["T1"]);
-        b.task("T4", "s4").after(["T2", "T3"]);
-        b.adaptation(
-            "replace-T2",
-            ["T2"],
-            ["T2"],
-            [ReplacementTask::new("T2'", "s2p", ["T1"])],
+    fn wait_sinks_reports_a_completed_sink_without_result() {
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        let mut bare = update("b", TaskState::Completed, 0);
+        bare.result = None;
+        tracker.observe(&bare, Duration::ZERO);
+        assert!(matches!(
+            tracker.wait_sinks(Duration::from_secs(5)),
+            Err(WaitError::MissingResult { task }) if task == "b"
+        ));
+    }
+
+    #[test]
+    fn wait_sinks_after_close_is_cancelled() {
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        tracker.observe(&update("a", TaskState::Running, 0), Duration::ZERO);
+        tracker.close();
+        assert!(matches!(
+            tracker.wait_sinks(Duration::from_secs(5)),
+            Err(WaitError::Cancelled)
+        ));
+    }
+
+    #[test]
+    fn wait_sinks_timeout_carries_the_state_snapshot() {
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        tracker.observe(&update("b", TaskState::Running, 0), Duration::ZERO);
+        tracker.observe(&update("a", TaskState::Completed, 0), Duration::ZERO);
+        match tracker.wait_sinks(Duration::from_millis(10)) {
+            Err(WaitError::Timeout { statuses }) => assert_eq!(
+                statuses,
+                vec![
+                    ("a".to_owned(), TaskState::Completed),
+                    ("b".to_owned(), TaskState::Running)
+                ]
+            ),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn updates_after_completion_reach_the_report_but_not_the_stream() {
+        let tracker = RunTracker::new(meta(), RunId::generate());
+        tracker.observe(
+            &update("b", TaskState::Running, 0),
+            Duration::from_millis(1),
         );
-        let wf = b.build().unwrap();
-        let from_wf = RunMeta::of(&wf);
-        let (programs, plans) = ginflow_hoclflow::agent_programs(&wf);
-        let from_programs = RunMeta::from_programs(&programs, &plans);
-        assert_eq!(from_wf.sinks, from_programs.sinks);
-        assert_eq!(from_wf.standby, from_programs.standby);
-        assert_eq!(from_wf.adaptations, from_programs.adaptations);
-        let mut a = from_wf.tasks.clone();
-        let mut b2 = from_programs.tasks.clone();
-        a.sort();
-        b2.sort();
-        assert_eq!(a, b2);
+        tracker.observe(
+            &update("b", TaskState::Completed, 0),
+            Duration::from_millis(2),
+        );
+        assert_eq!(tracker.outcome(), Some(RunOutcome::Completed));
+        let before: Vec<RunEvent> = tracker.subscribe().collect();
+        assert_eq!(before.last(), Some(&RunEvent::RunCompleted));
+        // A late non-sink update: folded into the task's report...
+        tracker.observe(
+            &update("a", TaskState::Completed, 0),
+            Duration::from_millis(3),
+        );
+        let report = tracker.report("test");
+        assert!(report.completed);
+        assert_eq!(report.state_of("a"), TaskState::Completed);
+        assert_eq!(
+            report.tasks["a"].finished_at,
+            Some(Duration::from_millis(3))
+        );
+        assert_eq!(report.tasks["b"].started_at, Some(Duration::from_millis(1)));
+        assert_eq!(report.state_of("b'"), TaskState::Idle);
+        // ...but the closed stream derives nothing from it.
+        assert_eq!(tracker.subscribe().collect::<Vec<_>>(), before);
+        assert_eq!(tracker.state_of("a"), Some(TaskState::Completed));
     }
 }

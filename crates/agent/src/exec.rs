@@ -1,18 +1,15 @@
 //! Agent execution machinery of the event-driven
-//! [`crate::scheduler::Scheduler`]: command execution, the status
-//! board, and the status collector loop.
+//! [`crate::scheduler::Scheduler`]: command execution and the status
+//! collector loop.
 
 use crate::core::{Command, Event, SaCore};
-use crate::engine::{RunTracker, TaskReport};
+use crate::engine::RunTracker;
 use crate::message::StatusUpdate;
-use crate::runtime::WaitError;
-use ginflow_core::{ServiceRegistry, TaskState, Value};
+use ginflow_core::ServiceRegistry;
 use ginflow_mq::{Broker, Subscription, TopicNamespace};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Everything needed to run one agent's events: the broker for sends and
 /// status publishes, the run's topic namespace, the registry for service
@@ -80,169 +77,15 @@ impl AgentCtx<'_> {
     }
 }
 
-/// Per-task record on the board: latest accepted update plus timing
-/// marks relative to the board's epoch (= launch time). The fold itself
-/// is [`TaskReport::absorb`], shared with the sim backend's trace
-/// replay so per-task observation semantics cannot diverge.
-struct BoardState {
-    tasks: HashMap<String, TaskReport>,
-    /// Set when the run is torn down while waiters may still block.
-    closed: bool,
-}
-
-/// The observed workflow state: latest status update per task, with a
-/// condvar so waiters block instead of polling.
-pub(crate) struct StatusBoard {
-    epoch: Instant,
-    state: Mutex<BoardState>,
-    changed: Condvar,
-}
-
-impl StatusBoard {
-    /// Fresh board; its epoch (the zero of all task timings) is now.
-    pub fn new() -> Self {
-        StatusBoard {
-            epoch: Instant::now(),
-            state: Mutex::new(BoardState {
-                tasks: HashMap::new(),
-                closed: false,
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Time since launch.
-    pub fn elapsed(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Record an update and wake waiters. Returns `false` (update
-    /// ignored) for stale publishes from a superseded incarnation.
-    pub fn record(&self, update: StatusUpdate) -> bool {
-        let now = self.epoch.elapsed();
-        let mut s = self.state.lock();
-        let accepted = s
-            .tasks
-            .entry(update.task.clone())
-            .or_default()
-            .absorb(&update, now);
-        drop(s);
-        if accepted {
-            self.changed.notify_all();
-        }
-        accepted
-    }
-
-    /// Mark the board closed (run torn down) and wake every waiter so it
-    /// can observe the cancellation instead of blocking out its timeout.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_all();
-    }
-
-    /// Latest observed state of a task.
-    pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.state.lock().tasks.get(task).map(|s| s.state)
-    }
-
-    /// Latest observed result of a task.
-    pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.state
-            .lock()
-            .tasks
-            .get(task)
-            .and_then(|s| s.result.clone())
-    }
-
-    /// Snapshot of all observed task states, sorted by task name.
-    pub fn snapshot(&self) -> Vec<(String, TaskState)> {
-        let mut v: Vec<(String, TaskState)> = self
-            .state
-            .lock()
-            .tasks
-            .iter()
-            .map(|(k, s)| (k.clone(), s.state))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Per-task detail for [`crate::engine::RunReport`]; `names` seeds
-    /// the map so never-observed tasks appear as `Idle`.
-    pub fn task_reports(&self, names: &[String]) -> BTreeMap<String, TaskReport> {
-        let s = self.state.lock();
-        let mut out: BTreeMap<String, TaskReport> = names
-            .iter()
-            .map(|n| (n.clone(), TaskReport::default()))
-            .collect();
-        for (name, entry) in &s.tasks {
-            out.insert(name.clone(), entry.clone());
-        }
-        out
-    }
-
-    /// Block (no polling — woken by [`StatusBoard::record`]) until every
-    /// sink completed, returning their results. A sink that completed
-    /// without publishing a result is an error, not a silent omission.
-    pub fn wait_for_sinks(
-        &self,
-        sinks: &[String],
-        timeout: Duration,
-    ) -> Result<HashMap<String, Value>, WaitError> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        loop {
-            let done = sinks
-                .iter()
-                .all(|t| s.tasks.get(t).map(|u| u.state) == Some(TaskState::Completed));
-            if done {
-                let mut results = HashMap::with_capacity(sinks.len());
-                for task in sinks {
-                    match s.tasks.get(task).and_then(|u| u.result.clone()) {
-                        Some(r) => {
-                            results.insert(task.clone(), r);
-                        }
-                        None => {
-                            return Err(WaitError::MissingResult { task: task.clone() });
-                        }
-                    }
-                }
-                return Ok(results);
-            }
-            if s.closed {
-                return Err(WaitError::Cancelled);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                let mut snapshot: Vec<(String, TaskState)> =
-                    s.tasks.iter().map(|(k, u)| (k.clone(), u.state)).collect();
-                snapshot.sort_by(|a, b| a.0.cmp(&b.0));
-                return Err(WaitError::Timeout { statuses: snapshot });
-            }
-            self.changed.wait_for(&mut s, deadline - now);
-        }
-    }
-}
-
-/// The status collector: drains the shared status topic into the board
-/// and feeds accepted updates through the run tracker (deriving the
-/// typed [`crate::engine::RunEvent`] stream). Fully blocking — woken by
-/// deliveries, and by the empty-payload sentinel
+/// The status collector: drains the shared status topic into the run
+/// tracker, stamping each update with its time since launch. Fully
+/// blocking — woken by deliveries, and by the empty-payload sentinel
 /// [`publish_shutdown_sentinel`] emits at shutdown.
-pub(crate) fn status_loop(
-    board: Arc<StatusBoard>,
-    tracker: Arc<RunTracker>,
-    sub: Subscription,
-    shutdown: Arc<AtomicBool>,
-) {
+pub(crate) fn status_loop(tracker: Arc<RunTracker>, sub: Subscription, shutdown: Arc<AtomicBool>) {
     loop {
         match sub.recv() {
             Ok(msg) => match StatusUpdate::decode(&msg.payload) {
-                Some(update) => {
-                    if board.record(update.clone()) {
-                        tracker.observe(&update);
-                    }
-                }
+                Some(update) => tracker.observe(&update, tracker.elapsed()),
                 // Undecodable payloads are the shutdown sentinel (or
                 // foreign noise on a shared broker; either way, check).
                 None => {

@@ -19,7 +19,12 @@
 //!   ([`ginflow_mq::Subscription::set_waker`]). Scales to thousands of
 //!   agents per process with zero idle CPU. Services run inline on the
 //!   workers, so [`RunOptions::workers`] is the lever for workloads
-//!   dominated by slow blocking services.
+//!   dominated by slow blocking services. [`Scheduler::launch`] returns
+//!   the backend-neutral [`RunHandle`].
+//! * [`engine`] — the execution API every backend shares: the
+//!   [`RunHandle`] a launch returns, its [`RunReport`] and [`RunEvent`]
+//!   stream, and the [`RunTracker`], the one per-run fold of the shared
+//!   status topic they all answer from.
 //!
 //! The scheduler implements the recovery mechanism of §IV-B: a crashed SA
 //! is replaced by a fresh one that *replays its inbox topic* from the
@@ -43,4 +48,4 @@ pub use engine::{
 pub use ginflow_mq::{RunId, TopicNamespace};
 pub use message::{SaMessage, StatusUpdate};
 pub use runtime::{RunOptions, WaitError};
-pub use scheduler::{Scheduler, WorkflowRun};
+pub use scheduler::Scheduler;

@@ -9,7 +9,7 @@
 //!
 //! * a fixed pool of N worker threads (N ≪ agents, default = CPU count)
 //!   drives every agent in the workflow;
-//! * each agent is an [`AgentSlot`] parked until its inbox topic wakes
+//! * each agent is an `AgentSlot` parked until its inbox topic wakes
 //!   it — `ginflow-mq` brokers now notify subscriptions on publish (see
 //!   [`ginflow_mq::Subscription::set_waker`]), so an idle workflow
 //!   consumes zero CPU;
@@ -22,17 +22,16 @@
 //!   [`SubscribeMode::Beginning`] — recovery is just another wakeup.
 //!
 //! The wakeup protocol is the classic "schedule bit" of task executors:
-//! a waker sets [`AgentSlot::scheduled`] and enqueues the slot only on a
+//! a waker sets `AgentSlot::scheduled` and enqueues the slot only on a
 //! false→true transition; the worker clears the bit after draining and
 //! re-checks the backlog, so a publish racing the drain can never be
 //! lost.
 
 use crate::core::{Event, SaCore};
 use crate::engine::{
-    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
-    RunTracker,
+    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunReport, RunTracker,
 };
-use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx, StatusBoard};
+use crate::exec::{publish_shutdown_sentinel, status_loop, AgentCtx};
 use crate::message::SaMessage;
 use crate::runtime::{RunOptions, WaitError};
 use ginflow_core::{ServiceRegistry, TaskState, Value, Workflow};
@@ -112,13 +111,8 @@ impl Scheduler {
         self
     }
 
-    /// Compile `workflow` and launch one agent per task.
-    pub fn launch(&self, workflow: &Workflow) -> WorkflowRun {
-        let (agents, plans) = agent_programs(workflow);
-        self.launch_programs(agents, plans)
-    }
-
-    /// Launch pre-compiled agent programs.
+    /// Compile `workflow` and launch one agent per task on the worker
+    /// pool.
     ///
     /// Every topic of the launch lives in the run's namespace
     /// (`run/<id>/…`): the id is [`RunOptions::run_id`] when pinned
@@ -133,24 +127,20 @@ impl Scheduler {
     /// contains `/` or control characters — see
     /// [`ginflow_mq::namespace::validate_segment`]); validate upstream
     /// to fail gracefully, as the CLI does.
-    pub fn launch_programs(&self, agents: Vec<AgentProgram>, plans: Vec<AdaptPlan>) -> WorkflowRun {
+    pub fn launch(&self, workflow: &Workflow) -> RunHandle {
+        let (agents, plans) = agent_programs(workflow);
         let run_id = self.options.run_id.clone().unwrap_or_else(RunId::generate);
         let ns = Arc::new(TopicNamespace::new(run_id.clone()));
-        let tracker = Arc::new(RunTracker::new(
-            RunMeta::from_programs(&agents, &plans),
-            run_id,
-        ));
-        WorkflowRun {
-            pool: launch_pool(
-                self.broker.clone(),
-                self.registry.clone(),
-                agents,
-                plans,
-                tracker,
-                ns,
-                self.options.clone(),
-            ),
-        }
+        let tracker = Arc::new(RunTracker::new(RunMeta::of(workflow), run_id));
+        RunHandle::new(Arc::new(launch_pool(
+            self.broker.clone(),
+            self.registry.clone(),
+            agents,
+            plans,
+            tracker,
+            ns,
+            self.options.clone(),
+        )))
     }
 }
 
@@ -164,210 +154,7 @@ impl ExecutionBackend for Scheduler {
     }
 
     fn launch_run(&self, workflow: &Workflow) -> RunHandle {
-        RunHandle::new(Arc::new(Scheduler::launch(self, workflow)))
-    }
-}
-
-/// A launched workflow: status observation, fault injection, recovery.
-pub struct WorkflowRun {
-    pool: PoolRun,
-}
-
-impl WorkflowRun {
-    /// Latest observed state of a task.
-    pub fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.board().state_of(task)
-    }
-
-    /// Latest observed result of a task.
-    pub fn result_of(&self, task: &str) -> Option<Value> {
-        self.board().result_of(task)
-    }
-
-    /// Snapshot of all observed task states.
-    pub fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.board().snapshot()
-    }
-
-    /// Block until every sink task completes; returns their results.
-    pub fn wait(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        let inner = &self.pool.inner;
-        inner.board.wait_for_sinks(&inner.sinks, timeout)
-    }
-
-    /// Crash a task's agent (it stops consuming; all local state is
-    /// lost). Returns whether the agent existed and was alive.
-    pub fn kill(&self, task: &str) -> bool {
-        self.pool.inner.kill(task)
-    }
-
-    /// Is the task's agent still alive (scheduled or parked, not dead)?
-    pub fn alive(&self, task: &str) -> bool {
-        self.pool.inner.alive(task)
-    }
-
-    /// Manually start a replacement agent for `task` (§IV-B recovery).
-    /// On a persistent broker the newcomer replays the full inbox
-    /// history.
-    pub fn respawn(&self, task: &str) -> bool {
-        self.pool.inner.respawn(task)
-    }
-
-    /// Current incarnation number of a task's agent.
-    pub fn incarnation(&self, task: &str) -> u32 {
-        self.pool.inner.incarnation(task)
-    }
-
-    /// Subscribe to the typed run event stream (full history replayed
-    /// first, then live) — see [`crate::engine::RunEvent`].
-    pub fn events(&self) -> RunEvents {
-        self.tracker().subscribe()
-    }
-
-    /// The run's id — the key of the topic namespace (`run/<id>/…`) this
-    /// run coordinates under.
-    pub fn run_id(&self) -> &RunId {
-        self.tracker().run_id()
-    }
-
-    /// Cancel the run: emits `RunFailed(Cancelled)`, tears every agent
-    /// down through the broker and joins all threads before returning.
-    pub fn cancel(&self) {
-        self.cancel_with_failure(RunFailure::Cancelled);
-    }
-
-    /// Structured snapshot of the run (partial while still executing).
-    pub fn report(&self) -> RunReport {
-        let board = self.board();
-        let tracker = self.tracker();
-        let tasks = board.task_reports(&tracker.meta().tasks);
-        let outcome = tracker.outcome();
-        let (adaptations_fired, respawns) = tracker.counts();
-        // After a terminal event the observed makespan is the last task
-        // transition, not "now"; mid-flight the clock is still running.
-        let wall = if outcome.is_some() {
-            tasks
-                .values()
-                .filter_map(|t| t.finished_at)
-                .max()
-                .unwrap_or_else(|| board.elapsed())
-        } else {
-            board.elapsed()
-        };
-        RunReport {
-            backend: self.backend_label(),
-            run_id: tracker.run_id().as_str().to_owned(),
-            completed: outcome == Some(RunOutcome::Completed),
-            cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
-            deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
-            wall,
-            adaptations_fired,
-            respawns,
-            lagged: self.lagged(),
-            metrics: ginflow_mq::metrics::global().snapshot_run(tracker.run_id().as_str()),
-            tasks,
-        }
-    }
-
-    /// Messages this run's broker subscriptions dropped to their queue
-    /// bound (drop-oldest policy on the transient profile), cumulative
-    /// over every subscription the run ever opened — respawned
-    /// incarnations included.
-    pub fn lagged(&self) -> u64 {
-        self.pool.inner.lagged()
-    }
-
-    /// Stop everything and join all threads.
-    pub fn shutdown(self) {
-        self.stop();
-    }
-
-    /// Backend label ("scheduler" / "sharded").
-    pub fn backend_label(&self) -> &'static str {
-        self.pool.inner.label
-    }
-
-    fn board(&self) -> &StatusBoard {
-        &self.pool.inner.board
-    }
-
-    fn tracker(&self) -> &Arc<RunTracker> {
-        &self.pool.inner.tracker
-    }
-
-    fn cancel_with_failure(&self, failure: RunFailure) {
-        self.tracker().fail(failure);
-        self.stop();
-    }
-
-    fn stop(&self) {
-        self.pool.stop()
-    }
-}
-
-impl Drop for WorkflowRun {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// `WorkflowRun` *is* the scheduler's run-control implementation: the
-/// unified [`RunHandle`] wraps it directly.
-impl RunControl for WorkflowRun {
-    fn backend(&self) -> &'static str {
-        self.backend_label()
-    }
-
-    fn run_id(&self) -> String {
-        WorkflowRun::run_id(self).as_str().to_owned()
-    }
-
-    fn state_of(&self, task: &str) -> Option<TaskState> {
-        WorkflowRun::state_of(self, task)
-    }
-
-    fn result_of(&self, task: &str) -> Option<Value> {
-        WorkflowRun::result_of(self, task)
-    }
-
-    fn statuses(&self) -> Vec<(String, TaskState)> {
-        WorkflowRun::statuses(self)
-    }
-
-    fn kill(&self, task: &str) -> bool {
-        WorkflowRun::kill(self, task)
-    }
-
-    fn respawn(&self, task: &str) -> bool {
-        WorkflowRun::respawn(self, task)
-    }
-
-    fn alive(&self, task: &str) -> bool {
-        WorkflowRun::alive(self, task)
-    }
-
-    fn incarnation(&self, task: &str) -> u32 {
-        WorkflowRun::incarnation(self, task)
-    }
-
-    fn subscribe(&self) -> RunEvents {
-        self.events()
-    }
-
-    fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        self.wait(timeout)
-    }
-
-    fn cancel_with(&self, failure: RunFailure) {
-        self.cancel_with_failure(failure);
-    }
-
-    fn stop(&self) {
-        WorkflowRun::stop(self);
-    }
-
-    fn report(&self) -> RunReport {
-        WorkflowRun::report(self)
+        self.launch(workflow)
     }
 }
 
@@ -424,12 +211,11 @@ struct PoolInner {
     slots: Mutex<HashMap<String, Arc<AgentSlot>>>,
     shards: Vec<crossbeam::channel::Sender<WorkItem>>,
     reaper: crossbeam::channel::Sender<ReaperMsg>,
-    board: Arc<StatusBoard>,
+    /// The run's status fold. It covers every task, local or not:
+    /// completion is observed through the shared status topic, the
+    /// cross-shard membrane.
     tracker: Arc<RunTracker>,
     shutdown: Arc<AtomicBool>,
-    /// Every sink of the workflow, local or not: completion is observed
-    /// through the shared status topic, the cross-shard membrane.
-    sinks: Vec<String>,
     auto_recover: bool,
     /// Inbox subscription mode for (re)spawned agents: full replay in
     /// sharded-persistent mode, head-attach otherwise.
@@ -441,7 +227,10 @@ struct PoolInner {
     label: &'static str,
 }
 
-pub(crate) struct PoolRun {
+/// A launched workflow on the worker pool: the scheduler's
+/// [`RunControl`], wrapped by the [`RunHandle`] that
+/// [`Scheduler::launch`] returns.
+struct PoolRun {
     inner: Arc<PoolInner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     status_thread: Mutex<Option<JoinHandle<()>>>,
@@ -476,12 +265,6 @@ fn launch_pool(
     options: RunOptions,
 ) -> PoolRun {
     let workers = options.resolve_workers();
-    let sinks: Vec<String> = agents
-        .iter()
-        .filter(|a| a.is_sink())
-        .map(|a| a.name.clone())
-        .collect();
-    let board = Arc::new(StatusBoard::new());
     let shutdown = Arc::new(AtomicBool::new(false));
 
     // Sharded mode: this process hosts only its slice of the agents,
@@ -509,12 +292,11 @@ fn launch_pool(
         .expect("status subscription");
     let status_lag = status_sub.lag_probe();
     let status_thread = {
-        let board = board.clone();
         let tracker = tracker.clone();
         let shutdown = shutdown.clone();
         std::thread::Builder::new()
             .name("sa-status".into())
-            .spawn(move || status_loop(board, tracker, status_sub, shutdown))
+            .spawn(move || status_loop(tracker, status_sub, shutdown))
             .expect("spawn status thread")
     };
 
@@ -541,10 +323,8 @@ fn launch_pool(
         slots: Mutex::new(HashMap::new()),
         shards: shard_txs,
         reaper: reaper_tx,
-        board,
         tracker,
         shutdown,
-        sinks,
         auto_recover: options.auto_recover,
         inbox_mode,
         lag_probes: Mutex::new(vec![status_lag]),
@@ -871,7 +651,60 @@ fn recovery_loop(inner: Arc<PoolInner>, rx: crossbeam::channel::Receiver<ReaperM
     }
 }
 
-impl PoolRun {
+impl RunControl for PoolRun {
+    fn backend(&self) -> &'static str {
+        self.inner.label
+    }
+
+    fn run_id(&self) -> String {
+        self.inner.tracker.run_id().as_str().to_owned()
+    }
+
+    fn state_of(&self, task: &str) -> Option<TaskState> {
+        self.inner.tracker.state_of(task)
+    }
+
+    fn result_of(&self, task: &str) -> Option<Value> {
+        self.inner.tracker.result_of(task)
+    }
+
+    fn statuses(&self) -> Vec<(String, TaskState)> {
+        self.inner.tracker.statuses()
+    }
+
+    /// Crash a task's agent: it stops consuming and all its local state
+    /// is lost.
+    fn kill(&self, task: &str) -> bool {
+        self.inner.kill(task)
+    }
+
+    /// On a persistent broker the newcomer replays the full inbox
+    /// history.
+    fn respawn(&self, task: &str) -> bool {
+        self.inner.respawn(task)
+    }
+
+    fn alive(&self, task: &str) -> bool {
+        self.inner.alive(task)
+    }
+
+    fn incarnation(&self, task: &str) -> u32 {
+        self.inner.incarnation(task)
+    }
+
+    fn subscribe(&self) -> RunEvents {
+        self.inner.tracker.subscribe()
+    }
+
+    fn wait_sinks(&self, timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
+        self.inner.tracker.wait_sinks(timeout)
+    }
+
+    fn cancel_with(&self, failure: RunFailure) {
+        self.inner.tracker.fail(failure);
+        self.stop();
+    }
+
     /// Tear down: every queued agent turn observes the shutdown flag and
     /// dies, the workers drain their shards and exit, and all threads
     /// are joined before this returns. Idempotent and callable from any
@@ -884,7 +717,6 @@ impl PoolRun {
             let _ = self.inner.reaper.send(ReaperMsg::Shutdown);
             publish_shutdown_sentinel(&*self.inner.broker, &self.inner.ns);
         }
-        self.inner.board.close();
         let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for worker in workers {
             let _ = worker.join();
@@ -896,5 +728,20 @@ impl PoolRun {
             let _ = t.join();
         }
         self.inner.tracker.close();
+    }
+
+    fn report(&self) -> RunReport {
+        let tracker = &self.inner.tracker;
+        RunReport {
+            lagged: self.inner.lagged(),
+            metrics: ginflow_mq::metrics::global().snapshot_run(tracker.run_id().as_str()),
+            ..tracker.report(self.inner.label)
+        }
+    }
+}
+
+impl Drop for PoolRun {
+    fn drop(&mut self) {
+        self.stop();
     }
 }

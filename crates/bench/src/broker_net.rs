@@ -370,7 +370,7 @@ pub fn idle_conns_helper(addr: &str, n: usize) {
 /// The connection storm: `idle` connected-but-silent raw sockets parked
 /// on the daemon, then the pipelined publish storm from one live client
 /// — does the hot path stay flat as the fd table grows? One set of
-/// connections serves all [`REPEAT`] storm repetitions (reconnecting
+/// connections serves all `REPEAT` storm repetitions (reconnecting
 /// 10k sockets per repetition would measure TIME_WAIT churn, not the
 /// daemon), the row keeps the best repetition, the `workers` column
 /// carries the idle-connection count, and `rss_mib` records this
@@ -468,7 +468,7 @@ pub(crate) fn best_of(f: impl Fn() -> Sample) -> Sample {
 
 /// The whole campaign at one scale: the four workflow transports plus
 /// the publish storm at 10× the task count, each scenario the best of
-/// [`REPEAT`] repetitions.
+/// `REPEAT` repetitions.
 pub fn run_with_tasks(tasks: usize) -> Vec<Sample> {
     let width = tasks.saturating_sub(2).max(1);
     let workers = std::thread::available_parallelism()

@@ -27,10 +27,12 @@
 //! Whatever the backend, [`Engine::launch`] returns the same
 //! [`RunHandle`]: a typed, ordered [`RunEvent`] stream fed from the
 //! shared status topic, first-class cancellation and deadlines, and a
-//! structured [`RunReport`]. The seam between the engine and its
-//! vehicles is [`ExecutionBackend`] (defined in `ginflow-agent::engine`)
-//! — async brokers, multi-process shards and remote executors plug in
-//! there without touching any caller.
+//! structured [`RunReport`], all answered from one [`RunTracker`] per
+//! run. The seam between the engine and its vehicles is
+//! [`ExecutionBackend`] (defined in `ginflow-agent::engine`): a new
+//! vehicle implements it and gets a [`Backend`] variant that
+//! [`EngineBuilder::build`] constructs, so no caller of
+//! [`Engine::launch`] changes.
 
 pub use ginflow_agent::engine::{
     EventWait, ExecutionBackend, RunControl, RunEvent, RunEvents, RunFailure, RunHandle, RunMeta,
@@ -227,16 +229,6 @@ impl Engine {
     /// Start configuring an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// An engine over a custom [`ExecutionBackend`] implementation —
-    /// the extension point future backends (async brokers, remote
-    /// shards) use without touching this crate.
-    pub fn from_backend(backend: Arc<dyn ExecutionBackend>) -> Engine {
-        Engine {
-            backend,
-            deadline: None,
-        }
     }
 
     /// The backend's label ("scheduler", "sharded", "sim", …).

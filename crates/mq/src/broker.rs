@@ -191,7 +191,7 @@ pub struct SubscriberHandle {
 impl SubscriberHandle {
     /// Enqueue a message. Returns false when the subscriber is gone (the
     /// broker prunes the handle). Does not wake — the broker wakes via
-    /// [`SubscriberHandle::waker`] once its topic lock is released; a
+    /// `SubscriberHandle::waker` once its topic lock is released; a
     /// bridge that delivers outside a topic lock calls
     /// [`SubscriberHandle::wake`] itself.
     ///

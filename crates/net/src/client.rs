@@ -36,7 +36,7 @@
 //! per-seq receipts, so callers never see the difference.
 //!
 //! The wire itself is abstracted behind
-//! [`Transport`](crate::transport::Transport): [`RemoteBroker::connect`]
+//! [`Transport`]: [`RemoteBroker::connect`]
 //! dials TCP, [`RemoteBroker::connect_with`] accepts any connector (an
 //! in-process socketpair, a fault-injecting wrapper), and the same
 //! connector is re-invoked on every reconnect.
@@ -122,19 +122,8 @@ pub const RECONNECT_GRACE: Duration = Duration::from_secs(30);
 /// reconnect-and-replay cycle, but finite — a severed-and-never-healed
 /// connection surfaces as [`MqError::FlushTimeout`] instead of hanging
 /// the flushing shard forever. Override per client with
-/// [`RemoteBroker::set_flush_timeout`] or process-wide with
-/// `GINFLOW_FLUSH_TIMEOUT_MS`.
+/// [`RemoteBroker::set_flush_timeout`].
 pub const DEFAULT_FLUSH_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The configured flush bound at client construction:
-/// `GINFLOW_FLUSH_TIMEOUT_MS` if set, else [`DEFAULT_FLUSH_TIMEOUT`].
-fn default_flush_timeout_ms() -> u64 {
-    std::env::var("GINFLOW_FLUSH_TIMEOUT_MS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|ms| *ms > 0)
-        .unwrap_or(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64)
-}
 
 /// Reconnect backoff ladder start: the first redial is
 /// (near-)immediate, each failure doubles the ladder up to
@@ -346,9 +335,7 @@ fn client_metrics() -> &'static ClientMetrics {
     })
 }
 
-/// Count one successful reconnect on `gf_client_reconnects_total`
-/// (the reactor additionally keeps its own
-/// `gf_client_reactor_reconnects_total`).
+/// Count one successful reconnect on `gf_client_reconnects_total`.
 pub(crate) fn note_reconnect() {
     client_metrics().reconnects.inc();
 }
@@ -405,7 +392,7 @@ pub(crate) struct ClientInner {
     persistent: AtomicBool,
     shutdown: AtomicBool,
     /// Upper bound on one [`Broker::flush`] call, in milliseconds
-    /// ([`default_flush_timeout_ms`]; [`RemoteBroker::set_flush_timeout`]).
+    /// ([`DEFAULT_FLUSH_TIMEOUT`]; [`RemoteBroker::set_flush_timeout`]).
     flush_timeout_ms: AtomicU64,
 }
 
@@ -450,7 +437,7 @@ impl RemoteBroker {
             seq: AtomicU64::new(0),
             persistent: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            flush_timeout_ms: AtomicU64::new(default_flush_timeout_ms()),
+            flush_timeout_ms: AtomicU64::new(DEFAULT_FLUSH_TIMEOUT.as_millis() as u64),
         });
         handle.register(stream, inner.clone());
         RemoteBroker::handshake(RemoteBroker { inner })
@@ -483,10 +470,8 @@ impl RemoteBroker {
 
     /// Bound how long one [`Broker::flush`] call may wait for the
     /// pipeline to drain before returning [`MqError::FlushTimeout`].
-    /// Defaults to [`DEFAULT_FLUSH_TIMEOUT`] (or
-    /// `GINFLOW_FLUSH_TIMEOUT_MS` from the environment); sub-
-    /// millisecond durations round up to 1 ms so the bound stays
-    /// finite and nonzero.
+    /// Defaults to [`DEFAULT_FLUSH_TIMEOUT`]; sub-millisecond durations
+    /// round up to 1 ms so the bound stays finite and nonzero.
     pub fn set_flush_timeout(&self, timeout: Duration) {
         let ms = (timeout.as_millis() as u64).max(1);
         self.inner.flush_timeout_ms.store(ms, Ordering::SeqCst);

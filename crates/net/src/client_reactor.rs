@@ -84,7 +84,6 @@ const STALL_SCAN: Duration = Duration::from_secs(2);
 struct ReactorMetrics {
     wakeups: Arc<Counter>,
     frames_turn: Arc<Histogram>,
-    reconnects: Arc<Counter>,
     connections: Arc<Gauge>,
 }
 
@@ -100,10 +99,6 @@ fn reactor_metrics() -> &'static ReactorMetrics {
             frames_turn: g.histogram(
                 "gf_client_reactor_frames_turn",
                 "Server frames dispatched per connection readiness turn",
-            ),
-            reconnects: g.counter(
-                "gf_client_reactor_reconnects_total",
-                "Connections re-established by the client reactor",
             ),
             connections: g.gauge(
                 "gf_client_reactor_connections",
@@ -795,7 +790,6 @@ impl Reactor {
         conn.backoff = RECONNECT_BASE;
         let m = reactor_metrics();
         m.connections.add(1);
-        m.reconnects.inc();
         crate::client::note_reconnect();
         self.drain_outbound(id);
     }

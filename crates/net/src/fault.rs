@@ -14,7 +14,7 @@
 //! ```
 //!
 //! [`ChaosNet::connector`] produces an ordinary
-//! [`Connector`](crate::transport::Connector): each dial opens a fresh
+//! [`Connector`]: each dial opens a fresh
 //! *link* — a [`FaultTransport`] (a plain socketpair half, so epoll,
 //! `try_clone`, `shutdown` all behave exactly like production) whose
 //! peer is a pair of relay pumps forwarding whole wire frames to and

@@ -27,7 +27,7 @@
 //!   **pipelined**: `publish_nowait` writes the frame and returns,
 //!   acks are consumed asynchronously against a bounded in-flight
 //!   window, and `flush()` drains the pipeline — see
-//!   [`client`](crate::client) for the ordering, ack and flush-point
+//!   [`client`] for the ordering, ack and flush-point
 //!   semantics. The daemon symmetrically coalesces everything queued
 //!   on a subscription into one multi-message EVENTS frame per pump
 //!   wakeup.
@@ -154,8 +154,9 @@
 //!   wakeup-batch accounting, client pipeline window occupancy and
 //!   losses (in whichever process runs them).
 //! * `gf_client_reactor_*` — shared client-loop health: wakeups,
-//!   frames dispatched per readiness turn (histogram), reconnects,
-//!   live connections.
+//!   frames dispatched per readiness turn (histogram), live
+//!   connections. Reconnects are counted on
+//!   `gf_client_reconnects_total`.
 //!
 //! Three surfaces expose the same snapshot:
 //!
@@ -205,9 +206,6 @@
 //!   names the seed that produced it**, so any red run reproduces with
 //!   `GINFLOW_FAULT_SEED=<n> GINFLOW_CHAOS_SEEDS=1 cargo test …`.
 //! * `GINFLOW_CHAOS_SEEDS=<k>` — seeds swept per property.
-//! * `GINFLOW_FLUSH_TIMEOUT_MS` — bound on [`RemoteBroker`]'s
-//!   `flush()`; on expiry it returns a structured
-//!   `MqError::FlushTimeout` instead of blocking on a wedged link.
 //! * `GINFLOW_RECONNECT_CAP_MS` — hard cap of the jittered exponential
 //!   reconnect backoff (default 2000 ms). Reconnects are
 //!   counted on `gf_client_reconnects_total`.

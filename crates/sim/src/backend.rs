@@ -10,14 +10,12 @@
 //! which is exactly what makes cross-backend tests meaningful.
 
 use crate::run::{simulate, SimConfig};
-use crate::SimReport;
 use ginflow_agent::engine::{
-    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunOutcome, RunReport,
-    RunTracker, TaskReport,
+    ExecutionBackend, RunControl, RunEvents, RunFailure, RunHandle, RunMeta, RunReport, RunTracker,
 };
 use ginflow_agent::WaitError;
 use ginflow_core::{TaskState, Value, Workflow};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,86 +54,63 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn launch_run(&self, workflow: &Workflow) -> RunHandle {
-        let report = simulate(workflow, &self.config);
+        let sim = simulate(workflow, &self.config);
         let run_id = self
             .run_id
             .clone()
             .unwrap_or_else(ginflow_mq::RunId::generate);
         let tracker = RunTracker::new(RunMeta::of(workflow), run_id);
-        for (_, update) in &report.status_log {
-            tracker.observe(update);
+        for (at, update) in &sim.status_log {
+            tracker.observe(update, Duration::from_micros(*at));
         }
         if tracker.outcome().is_none() {
             // The virtual run ended without every sink completing (e.g.
             // crashes without a persistent broker): terminal, stalled.
             tracker.fail(RunFailure::Stalled);
         }
-        RunHandle::new(Arc::new(SimRun::new(report, tracker)))
-    }
-}
-
-/// A finished simulated run behind the [`RunControl`] surface. All
-/// "observations" answer from the recorded trace; fault injection is a
-/// no-op (the failure injector runs *inside* the simulation, configured
-/// via [`SimConfig::failures`]).
-struct SimRun {
-    report: SimReport,
-    tracker: RunTracker,
-    tasks: BTreeMap<String, TaskReport>,
-}
-
-impl SimRun {
-    fn new(report: SimReport, tracker: RunTracker) -> Self {
-        let mut tasks: BTreeMap<String, TaskReport> = tracker
-            .meta()
-            .tasks
-            .iter()
-            .map(|n| (n.clone(), TaskReport::default()))
-            .collect();
-        for (at, update) in &report.status_log {
-            // The same fold the live status board applies — stale
-            // incarnations and timing marks behave identically.
-            tasks
-                .entry(update.task.clone())
-                .or_default()
-                .absorb(update, Duration::from_micros(*at));
-        }
+        let mut report = RunReport {
+            completed: sim.completed,
+            wall: Duration::from_micros(sim.makespan_us),
+            ..tracker.report("sim")
+        };
         // The kernel's final word wins over the trace (a task can end
         // `Idle`/`Running` without a last publish when the run stalls).
-        for (name, state) in &report.states {
-            tasks.entry(name.clone()).or_default().state = *state;
+        for (name, state) in &sim.states {
+            report.tasks.entry(name.clone()).or_default().state = *state;
         }
-        SimRun {
-            report,
-            tracker,
-            tasks,
-        }
+        RunHandle::new(Arc::new(SimRun { tracker, report }))
     }
+}
 
-    fn latest(&self, task: &str) -> Option<&TaskReport> {
-        self.tasks.get(task)
-    }
+/// A finished simulated run behind the [`RunControl`] surface. The run is
+/// terminal at launch, so its report is final: every observation answers
+/// from it. Fault injection is a no-op (the failure injector runs
+/// *inside* the simulation, configured via [`SimConfig::failures`]).
+struct SimRun {
+    tracker: RunTracker,
+    report: RunReport,
 }
 
 impl RunControl for SimRun {
     fn backend(&self) -> &'static str {
-        "sim"
+        self.report.backend
     }
 
     fn run_id(&self) -> String {
-        self.tracker.run_id().as_str().to_owned()
+        self.report.run_id.clone()
     }
 
     fn state_of(&self, task: &str) -> Option<TaskState> {
-        self.latest(task).map(|t| t.state)
+        self.report.tasks.get(task).map(|t| t.state)
     }
 
     fn result_of(&self, task: &str) -> Option<Value> {
-        self.latest(task).and_then(|t| t.result.clone())
+        self.report.result_of(task).cloned()
     }
 
     fn statuses(&self) -> Vec<(String, TaskState)> {
-        self.tasks
+        self.report
+            .tasks
             .iter()
             .map(|(name, t)| (name.clone(), t.state))
             .collect()
@@ -154,7 +129,11 @@ impl RunControl for SimRun {
     }
 
     fn incarnation(&self, task: &str) -> u32 {
-        self.latest(task).map(|t| t.incarnation).unwrap_or(0)
+        self.report
+            .tasks
+            .get(task)
+            .map(|t| t.incarnation)
+            .unwrap_or(0)
     }
 
     fn subscribe(&self) -> RunEvents {
@@ -162,27 +141,25 @@ impl RunControl for SimRun {
     }
 
     fn wait_sinks(&self, _timeout: Duration) -> Result<HashMap<String, Value>, WaitError> {
-        if self.report.completed {
-            let mut results = HashMap::new();
-            for sink in &self.tracker.meta().sinks {
-                match self.result_of(sink) {
-                    Some(v) => {
-                        results.insert(sink.clone(), v);
-                    }
-                    None => return Err(WaitError::MissingResult { task: sink.clone() }),
-                }
-            }
-            Ok(results)
-        } else {
-            Err(WaitError::Timeout {
+        if !self.report.completed {
+            return Err(WaitError::Timeout {
                 statuses: self.statuses(),
-            })
+            });
         }
+        self.tracker
+            .meta()
+            .sinks
+            .iter()
+            .map(|sink| match self.result_of(sink) {
+                Some(v) => Ok((sink.clone(), v)),
+                None => Err(WaitError::MissingResult { task: sink.clone() }),
+            })
+            .collect()
     }
 
     fn cancel_with(&self, failure: RunFailure) {
-        // Already terminal in virtually every case; `fail` is a no-op
-        // then. Kept for API symmetry.
+        // The run is terminal from launch, so this is a no-op; kept for
+        // API symmetry.
         self.tracker.fail(failure);
     }
 
@@ -191,21 +168,7 @@ impl RunControl for SimRun {
     }
 
     fn report(&self) -> RunReport {
-        let outcome = self.tracker.outcome();
-        let (adaptations_fired, respawns) = self.tracker.counts();
-        RunReport {
-            backend: "sim",
-            run_id: self.tracker.run_id().as_str().to_owned(),
-            completed: self.report.completed,
-            cancelled: outcome == Some(RunOutcome::Failed(RunFailure::Cancelled)),
-            deadline_expired: outcome == Some(RunOutcome::Failed(RunFailure::DeadlineExpired)),
-            wall: Duration::from_micros(self.report.makespan_us),
-            adaptations_fired,
-            respawns,
-            lagged: 0,
-            metrics: Vec::new(),
-            tasks: self.tasks.clone(),
-        }
+        self.report.clone()
     }
 }
 
